@@ -36,7 +36,6 @@ from .integrators import (
     Trajectory,
     integrate,
     split_transform,
-    step_rk4,
 )
 from .observables import (
     CorrelationData,
@@ -95,7 +94,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "split_transform",
-    "step_rk4",
     "CorrelationData",
     "ObservableSeries",
     "aggregation_defect",

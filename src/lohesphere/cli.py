@@ -2,9 +2,9 @@
 
 Usage:
 
-    lohesphere simulate  --config cfg.json --out DIR [--seed S] [--workers K]
+    lohesphere simulate  --config cfg.json --out DIR [--seed S]
     lohesphere experiment --experiment e1 --config cfg.json --out DIR [--seed S]
-    lohesphere sweep     --config cfg.json --out DIR [--seed S] [--workers K]
+    lohesphere sweep     --config cfg.json --out DIR [--seed S]
 
 Configs are JSON key-value trees.  Exit codes: 0 on success (all gating
 assertions pass), 1 on assertion failure, 2 on usage/config errors.  Every
@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,14 @@ from .experiments import (
     EXPERIMENT_IDS,
     ConfigError,
     ExperimentConfig,
+    RunConfig,
+    _admissible_ensemble,
+    _integrator_config,
     run_experiment,
     standard_observers,
 )
-from .integrators import IntegratorConfig, integrate
-from .sampling import random_skew_hermitian, random_sphere_states, sample_admissible
+from .integrators import IntegrationError, integrate
+from .sampling import random_skew_hermitian, random_sphere_states
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -90,101 +93,50 @@ def _write_report(report, out_dir: Path) -> list[Path]:
     return artifacts
 
 
-_SIMULATE_KEYS = {
-    "n": int,
-    "d": int,
-    "kappa0": float,
-    "kappa1": float,
-    "delta": float,
-    "dt": float,
-    "t_end": float,
-    "seed": int,
-    "n_samples": int,
-    "omega_scale": float,
-    "heterogeneous": bool,
-    "init": str,
-}
+@dataclass(frozen=True)
+class SimulateConfig(RunConfig):
+    """Config of ``simulate``: the shared run keys with their own defaults,
+    plus the initial data, an admissible cap draw or uniform states."""
 
-_SIMULATE_DEFAULTS = {
-    "n": 32,
-    "d": 4,
-    "kappa0": 1.0,
-    "kappa1": 0.0,
-    "delta": 0.1,
-    "dt": 1e-3,
-    "t_end": 5.0,
-    "seed": 0,
-    "n_samples": 200,
-    "omega_scale": 0.0,
-    "heterogeneous": False,
-    "init": "admissible",
-}
+    n: int = 32
+    delta: float = 0.1
+    t_end: float = 5.0
+    seed: int = 0
+    init: str = "admissible"
 
-
-def _simulate_config(raw: dict) -> dict:
-    cfg = dict(_SIMULATE_DEFAULTS)
-    for key, value in raw.items():
-        if key not in _SIMULATE_KEYS:
-            raise ConfigError(f"unknown config key {key!r} for simulate")
-        expected = _SIMULATE_KEYS[key]
-        if expected is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"config key {key!r} must be a boolean")
-            cfg[key] = value
-        else:
-            try:
-                cfg[key] = expected(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    if cfg["init"] not in ("admissible", "uniform"):
-        raise ConfigError("config key 'init' must be 'admissible' or 'uniform'")
-    if cfg["dt"] <= 0 or cfg["t_end"] < 0:
-        raise ConfigError("dt must be positive and t_end nonnegative")
-    return cfg
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.init not in ("admissible", "uniform"):
+            raise ConfigError("config key 'init' must be 'admissible' or 'uniform'")
 
 
 def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
     """Integrate one configuration and write its observable series + manifest."""
-    cfg = _simulate_config(raw)
-    params = CouplingParams(cfg["kappa0"], cfg["kappa1"])
-    if cfg["init"] == "admissible":
-        try:
-            ens = sample_admissible(
-                cfg["n"],
-                cfg["d"],
-                cfg["kappa0"],
-                cfg["kappa1"],
-                cfg["delta"],
-                cfg["seed"],
-                omega_scale=cfg["omega_scale"],
-                heterogeneous=cfg["heterogeneous"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    cfg = SimulateConfig.from_dict(raw)
+    params = CouplingParams(cfg.kappa0, cfg.kappa1)
+    if cfg.init == "admissible":
+        ens = _admissible_ensemble(cfg)
     else:
-        rng = np.random.default_rng(cfg["seed"])
-        states = random_sphere_states(rng, cfg["n"], cfg["d"])
-        if cfg["heterogeneous"]:
+        rng = np.random.default_rng(cfg.seed)
+        states = random_sphere_states(rng, cfg.n, cfg.d)
+        if cfg.heterogeneous:
             freqs = np.stack(
-                [random_skew_hermitian(rng, cfg["d"], cfg["omega_scale"]) for _ in range(cfg["n"])]
+                [random_skew_hermitian(rng, cfg.d, cfg.omega_scale) for _ in range(cfg.n)]
             )
             ens = Ensemble(states, freqs, params)
-        elif cfg["omega_scale"] > 0:
+        elif cfg.omega_scale > 0:
             ens = Ensemble.with_common_frequency(
-                states, random_skew_hermitian(rng, cfg["d"], cfg["omega_scale"]), params
+                states, random_skew_hermitian(rng, cfg.d, cfg.omega_scale), params
             )
         else:
             ens = Ensemble.zero_frequency(states, params)
 
-    n_steps = max(int(round(cfg["t_end"] / cfg["dt"])), 1)
-    record_every = max(n_steps // (cfg["n_samples"] - 1), 1)
-    icfg = IntegratorConfig(t_end=cfg["t_end"], dt=cfg["dt"], record_every=record_every)
     observers = standard_observers(params, with_dj=False)
-    for k in range(cfg["d"]):
+    for k in range(cfg.d):
         observers[f"j_re_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].real)
         observers[f"j_im_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].imag)
-    _, series = integrate(ens, icfg, observers)
-    series.metadata["seed"] = cfg["seed"]
+    _, series = integrate(ens, _integrator_config(cfg), observers)
+    series.metadata["seed"] = cfg.seed
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "simulate_observables.csv"
@@ -230,7 +182,7 @@ def _axis_values(raw: dict):
     return parameter, values
 
 
-def cmd_sweep(raw: dict, out_dir: Path, config_path: str, workers: int) -> int:
+def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
     """Run an experiment across a parameter axis, one sub-report per point."""
     raw = dict(raw)
     parameter, values = _axis_values(raw)
@@ -238,37 +190,24 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str, workers: int) -> int:
     if "experiment" not in base:
         raise ConfigError("sweep config needs an 'experiment' key")
 
-    points = []
-    for value in values:
-        point = dict(base)
-        point[parameter] = int(value) if parameter in ("seed", "n", "d", "n_seeds") else value
-        points.append(point)
-
-    def run_point(idx_point):
-        # a grid point whose parameters are infeasible (e.g. a gain sweep that
-        # crosses the admissibility boundary) becomes a failed row, not a crash
-        idx, point = idx_point
-        try:
-            return idx, run_experiment(ExperimentConfig.from_dict(point)), None
-        except ConfigError as exc:
-            return idx, None, str(exc)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = {idx: (rep, err) for idx, rep, err in pool.map(run_point, enumerate(points))}
-    else:
-        results = {idx: (rep, err) for idx, rep, err in map(run_point, enumerate(points))}
-
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     rows = []
-    for idx in range(len(points)):
-        report, error = results[idx]
-        row = {"index": idx, parameter: values[idx]}
-        if report is None:
+    all_passed = True
+    for idx, value in enumerate(values):
+        point = {**base, parameter: value}
+        row = {"index": idx, parameter: value}
+        # a grid point whose parameters are infeasible (e.g. a gain sweep that
+        # crosses the admissibility boundary) or whose run diverges becomes a
+        # failed row, not a crash
+        try:
+            report = run_experiment(ExperimentConfig.from_dict(point))
+        except (ConfigError, IntegrationError) as exc:
+            all_passed = False
             row["passed"] = 0
-            row["error"] = error.replace(",", ";")
+            row["error"] = str(exc).replace(",", ";")
         else:
+            all_passed = all_passed and report.passed
             sub_dir = out_dir / f"point_{idx:03d}"
             sub_dir.mkdir(parents=True, exist_ok=True)
             artifacts.extend(_write_report(report, sub_dir))
@@ -296,7 +235,6 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str, workers: int) -> int:
             )
     artifacts.append(agg_path)
     _write_manifest(out_dir, "sweep", config_path, raw, artifacts)
-    all_passed = all(rep is not None and rep.passed for rep, _ in results.values())
     return EXIT_PASS if all_passed else EXIT_ASSERTION
 
 
@@ -315,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--workers", type=int, default=1, help="worker cap for sweeps")
         if name == "experiment":
             cmd.add_argument(
                 "--experiment",
@@ -340,7 +277,7 @@ def main(argv=None) -> int:
             return cmd_simulate(raw, out_dir, args.config)
         if args.command == "experiment":
             return cmd_experiment(raw, out_dir, args.config, args.experiment)
-        return cmd_sweep(raw, out_dir, args.config, max(args.workers, 1))
+        return cmd_sweep(raw, out_dir, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

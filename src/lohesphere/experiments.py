@@ -28,13 +28,7 @@ from numpy.typing import NDArray
 
 from .dynamics import CouplingParams, Ensemble, lhs_rhs
 from .geometry import matrix_exp_family
-from .integrators import (
-    IntegratorConfig,
-    Trajectory,
-    integrate,
-    integrate_pair_distance,
-    rk4_step,
-)
+from .integrators import IntegratorConfig, Trajectory, integrate, rk4_step
 from .observables import (
     ObservableSeries,
     aggregation_defect,
@@ -82,15 +76,15 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative experiment configuration (flat key-value tree).
+class RunConfig:
+    """Keys every run shares (flat key-value tree).
 
-    Shared keys cover the ensemble (n, d), gains (kappa0, kappa1, delta),
-    stepping (dt, t_end, n_samples) and the seed; the remaining knobs apply
-    to individual experiments and keep their defaults elsewhere.
+    They cover the ensemble (n, d), gains (kappa0, kappa1, delta), stepping
+    (dt, t_end, n_samples) and the seed.  ``from_dict`` merges a raw config
+    over per-run defaults, rejects unknown keys and coerces every value to
+    its field's type; subclasses add their own keys and checks.
     """
 
-    experiment: str
     n: int = 64
     d: int = 4
     kappa0: float = 1.0
@@ -102,6 +96,42 @@ class ExperimentConfig:
     n_samples: int = 200
     omega_scale: float = 0.0
     heterogeneous: bool = False
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or self.d < 1:
+            raise ConfigError("n and d must be positive")
+        if not self.dt > 0:
+            raise ConfigError("dt must be positive")
+        if self.t_end < 0:
+            raise ConfigError("t_end must be nonnegative")
+        if self.n_samples < 2:
+            raise ConfigError("n_samples must be at least 2")
+
+    @classmethod
+    def from_dict(cls, raw: dict, defaults: dict | None = None):
+        known = {f.name: f for f in fields(cls)}
+        merged: dict = dict(defaults or {})
+        for key, value in raw.items():
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}")
+            merged[key] = value
+        coerced: dict = {}
+        for key, value in merged.items():
+            try:
+                coerced[key] = _coerce(known[key].type, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        return cls(**coerced)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RunConfig):
+    """Declarative experiment configuration: the experiment id, the shared
+    keys, and knobs that apply to individual experiments and keep their
+    defaults elsewhere.
+    """
+
+    experiment: str
     # e2 / e4: stability sweeps
     n_seeds: int = 20
     jitter: float = 1e-2
@@ -113,21 +143,13 @@ class ExperimentConfig:
     n_grid: tuple[int, ...] = (16, 32, 64, 128)
     # e6 scenario b: transverse spread of the mirror cluster
     cluster_spread: float = 0.2
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(
                 f"unknown experiment id {self.experiment!r}; expected one of {sorted(EXPERIMENT_IDS)}"
             )
-        if self.n < 1 or self.d < 1:
-            raise ConfigError("n and d must be positive")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be at least 2")
+        super().__post_init__()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -138,20 +160,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment id {experiment!r}; expected one of {sorted(EXPERIMENT_IDS)}"
             )
-        known = {f.name: f for f in fields(cls)}
-        merged: dict = dict(DEFAULTS[experiment])
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-        merged["experiment"] = experiment
-        coerced: dict = {}
-        for key, value in merged.items():
-            try:
-                coerced[key] = _coerce(known[key].type, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        return cls(**coerced)
+        return super().from_dict(raw, DEFAULTS[experiment])
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -166,6 +175,8 @@ def _coerce(type_name: str, value):
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if type_name == "float":
+        if isinstance(value, bool):
+            raise ValueError(f"expected a number, got {value!r}")
         return float(value)
     if type_name == "bool":
         if not isinstance(value, bool):
@@ -174,10 +185,8 @@ def _coerce(type_name: str, value):
     if type_name == "str":
         return str(value)
     if type_name.startswith("tuple"):
-        seq = tuple(value)
-        if "int" in type_name:
-            return tuple(int(v) for v in seq)
-        return tuple(float(v) for v in seq)
+        item = "int" if "int" in type_name else "float"
+        return tuple(_coerce(item, v) for v in value)
     return value
 
 
@@ -282,7 +291,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def _integrator_config(cfg: ExperimentConfig, t_end: float | None = None) -> IntegratorConfig:
+def _integrator_config(cfg: RunConfig, t_end: float | None = None) -> IntegratorConfig:
     t_end = cfg.t_end if t_end is None else t_end
     n_steps = max(int(round(t_end / cfg.dt)), 1)
     record_every = max(n_steps // (cfg.n_samples - 1), 1)
@@ -349,7 +358,17 @@ def fit_decay_rate(times: NDArray, values: NDArray, floor: float = 1e-300) -> fl
     return float(-slope)
 
 
-def _admissible_ensemble(cfg: ExperimentConfig) -> Ensemble:
+def _saturation_check(
+    name: str, ratio: NDArray, times: NDArray, t_mid: float, detail: str
+) -> tuple[CheckResult, float, float]:
+    """Uniform-in-time check: the sup of ratio over the whole run is at most
+    1.05 times its sup over t <= t_mid.  Returns the check and both sups."""
+    sup_mid = float(np.max(ratio[times <= t_mid + 1e-12]))
+    sup_long = float(np.max(ratio))
+    return _check_le(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
+
+
+def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
     try:
         return sample_admissible(
             cfg.n,
@@ -459,6 +478,19 @@ def _stability_constant(kappa0: float, kappa1: float, horizon: float) -> float:
     return math.exp(2.0 * horizon * (abs(kappa0) + abs(kappa0 + 2.0 * kappa1)))
 
 
+def _lp_distances(
+    ens_a: Ensemble, ens_b: Ensemble, icfg: IntegratorConfig, p_values
+) -> tuple[NDArray, dict[float, NDArray]]:
+    """Integrate two ensembles and return the recorded times and, per p, the
+    l^p state distance ``(sum_k ||z_k - w_k||^p)^(1/p)`` at each of them."""
+    traj_a, _ = integrate(ens_a, icfg)
+    traj_b, _ = integrate(ens_b, icfg)
+    gaps = [np.linalg.norm(a - b, axis=1) for a, b in zip(traj_a.snapshots, traj_b.snapshots)]
+    return traj_a.times, {
+        p: np.asarray([float(np.sum(g**p) ** (1.0 / p)) for g in gaps]) for p in p_values
+    }
+
+
 def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     """l^p stability of the particle flow.
 
@@ -491,7 +523,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
             ).copy()
         ens_a = Ensemble(states, freqs, params)
         ens_b = Ensemble(other, freqs, params)
-        times, dists = integrate_pair_distance(ens_a, ens_b, icfg, cfg.p_values)
+        times, dists = _lp_distances(ens_a, ens_b, icfg, cfg.p_values)
         for p in cfg.p_values:
             track = dists[p]
             initial = track[0]
@@ -502,7 +534,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         if k == 0:
             # grid-density cross-check: the sup changes little at double density
             dense = replace(icfg, record_every=max(icfg.record_every // 2, 1))
-            _, dists_d = integrate_pair_distance(ens_a, ens_b, dense, (2.0,))
+            _, dists_d = _lp_distances(ens_a, ens_b, dense, (2.0,))
             sup_coarse = float(np.max(dists[2.0]))
             sup_dense = float(np.max(dists_d[2.0]))
             refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
@@ -538,7 +570,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     states = random_sphere_states(rng, cfg.n, cfg.d)
     ens_a = Ensemble.zero_frequency(states, params)
     ens_b = Ensemble.zero_frequency(states.copy(), params)
-    _, dists = integrate_pair_distance(ens_a, ens_b, icfg, (2.0,))
+    _, dists = _lp_distances(ens_a, ens_b, icfg, (2.0,))
     checks.append(
         _check_le(
             "identical_data_stay_identical",
@@ -556,22 +588,16 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     other = jitter_states(rng, ens.states, cfg.jitter)
     ens_b = Ensemble.zero_frequency(other, params)
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
-    times, dists = integrate_pair_distance(ens, ens_b, long_cfg, (2.0,))
-    track = dists[2.0] / dists[2.0][0]
-    sup_mid = float(np.max(track[times <= cfg.t_mid + 1e-12]))
-    sup_long = float(np.max(track))
-    checks.append(
-        _check_le(
-            "admissible_uniform_in_time",
-            sup_long,
-            1.05 * sup_mid,
-            0.0,
-            detail=(
-                f"admissible p=2 ratio: sup over t <= {cfg.t_long:g} vs "
-                f"1.05 * sup over t <= {cfg.t_mid:g}"
-            ),
-        )
+    times, dists = _lp_distances(ens, ens_b, long_cfg, (2.0,))
+    saturation, sup_mid, sup_long = _saturation_check(
+        "admissible_uniform_in_time",
+        dists[2.0] / dists[2.0][0],
+        times,
+        cfg.t_mid,
+        f"admissible p=2 ratio: sup over t <= {cfg.t_long:g} vs "
+        f"1.05 * sup over t <= {cfg.t_mid:g}",
     )
+    checks.append(saturation)
 
     return ExperimentReport(
         experiment="e2",
@@ -812,20 +838,15 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     )
     if w2[0] > 1e-12:
         ratio = w2 / w2[0]
-        sup_mid = float(np.max(ratio[times_l <= cfg.t_mid + 1e-12]))
-        sup_long = float(np.max(ratio))
-        checks.append(
-            _check_le(
-                "admissible_t_independent_constant",
-                sup_long,
-                1.05 * sup_mid,
-                0.0,
-                detail=(
-                    f"admissible homogeneous case: sup ratio over t <= {cfg.t_long:g} vs "
-                    f"1.05 * sup over t <= {cfg.t_mid:g} (p = 2)"
-                ),
-            )
+        saturation, sup_mid, sup_long = _saturation_check(
+            "admissible_t_independent_constant",
+            ratio,
+            times_l,
+            cfg.t_mid,
+            f"admissible homogeneous case: sup ratio over t <= {cfg.t_long:g} vs "
+            f"1.05 * sup over t <= {cfg.t_mid:g} (p = 2)",
         )
+        checks.append(saturation)
     else:
         ratio = w2
         sup_mid = sup_long = float(np.max(w2))

@@ -11,13 +11,14 @@ diagnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import CouplingParams, Ensemble, coupling_rhs, lhs_rhs
+from .dynamics import CouplingParams, Ensemble, lhs_rhs
 from .geometry import matrix_exp_family
 from .observables import ObservableSeries
 
@@ -26,7 +27,6 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "rk4_step",
-    "step_rk4",
     "integrate",
     "split_transform",
 ]
@@ -91,10 +91,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def ensemble_at(self, index: int) -> Ensemble:
-        ens = Ensemble(self.snapshots[index], self.frequencies, self.params)
-        return ens
-
 
 def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One classical 4th-order step of dy/dt = rhs(y); local error O(dt^5)."""
@@ -105,32 +101,27 @@ def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) 
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _renormalize(states: NDArray[np.complexfloating]) -> NDArray[np.complexfloating]:
+def _renormalize(
+    states: NDArray[np.complexfloating], tol: float, step: int, t: float
+) -> NDArray[np.complexfloating]:
+    """Project every state back onto the sphere after checking its norm drift.
+
+    The row norms are computed once and serve both the check and the
+    projection; the offending particle's index is looked up only on failure.
+    """
     norms = np.linalg.norm(states, axis=1)
-    return states / norms[:, None]
-
-
-def _check_drift(states, tol: float, step: int, t: float) -> None:
-    if not np.all(np.isfinite(states)):
-        raise IntegrationError(f"non-finite state at step {step} (t = {t:g})")
-    drift = float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+    gaps = np.abs(norms - 1.0)
+    drift = float(np.max(gaps))
+    if not math.isfinite(drift):
+        worst = int(np.argmin(np.isfinite(norms)))
+        raise IntegrationError(f"non-finite state at step {step} (t = {t:g}, particle {worst})")
     if drift > tol:
+        worst = int(np.argmax(gaps))
         raise IntegrationError(
-            f"norm drift {drift:g} exceeds tolerance {tol:g} at step {step} (t = {t:g})"
+            f"norm drift {drift:g} exceeds tolerance {tol:g} "
+            f"at step {step} (t = {t:g}, particle {worst})"
         )
-
-
-def step_rk4(ens: Ensemble, dt: float) -> Ensemble:
-    """Advance one RK4 step (on the states; frequencies are constant) and renormalize."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-
-    def rhs(states):
-        return lhs_rhs(ens.replace_states(states))
-
-    new_states = rk4_step(ens.states, dt, rhs)
-    _check_drift(new_states, 1e-3, 1, dt)
-    return ens.replace_states(_renormalize(new_states))
+    return states / norms[:, None]
 
 
 def integrate(
@@ -167,8 +158,7 @@ def integrate(
     for step in range(1, n_steps + 1):
         states = rk4_step(states, cfg.dt, rhs)
         if step % cfg.renormalize_every == 0 or step == n_steps:
-            _check_drift(states, cfg.unit_drift_tol, step, step * cfg.dt)
-            states = _renormalize(states)
+            states = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
 
@@ -221,56 +211,3 @@ def split_transform(traj: Trajectory, omega) -> Trajectory:
         homogeneous=True,
         metadata={**traj.metadata, "split_from_omega": True},
     )
-
-
-def coupling_only_rhs(states: np.ndarray, params: CouplingParams) -> np.ndarray:
-    """Right-hand side of the zero-frequency system (used by splitting checks)."""
-    return coupling_rhs(states, params)
-
-
-def integrate_pair_distance(
-    ens_a: Ensemble,
-    ens_b: Ensemble,
-    cfg: IntegratorConfig,
-    p_values: Sequence[float] = (2.0,),
-) -> tuple[NDArray[np.floating], dict[float, NDArray[np.floating]]]:
-    """Co-integrate two ensembles and record their l^p state distances.
-
-    Returns the recorded times and, per p, the distance
-    ``(sum_k ||z_k - w_k||^p)^(1/p)`` at those times.  Both ensembles must
-    share particle count and dimension.
-    """
-    if ens_a.states.shape != ens_b.states.shape:
-        raise ValueError("paired ensembles must share (N, d)")
-    n_steps = cfg.n_steps
-    a = ens_a.states.copy()
-    b = ens_b.states.copy()
-
-    def rhs_a(x):
-        return lhs_rhs(ens_a.replace_states(x))
-
-    def rhs_b(x):
-        return lhs_rhs(ens_b.replace_states(x))
-
-    times = [0.0]
-    dists: dict[float, list[float]] = {p: [] for p in p_values}
-
-    def record(a_states, b_states):
-        gaps = np.linalg.norm(a_states - b_states, axis=1)
-        for p in p_values:
-            dists[p].append(float(np.sum(gaps**p) ** (1.0 / p)))
-
-    record(a, b)
-    for step in range(1, n_steps + 1):
-        a = rk4_step(a, cfg.dt, rhs_a)
-        b = rk4_step(b, cfg.dt, rhs_b)
-        if step % cfg.renormalize_every == 0 or step == n_steps:
-            _check_drift(a, cfg.unit_drift_tol, step, step * cfg.dt)
-            _check_drift(b, cfg.unit_drift_tol, step, step * cfg.dt)
-            a = _renormalize(a)
-            b = _renormalize(b)
-        if step % cfg.record_every == 0 or step == n_steps:
-            times.append(step * cfg.dt)
-            record(a, b)
-
-    return np.asarray(times), {p: np.asarray(v) for p, v in dists.items()}

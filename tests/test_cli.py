@@ -56,6 +56,26 @@ def test_unknown_simulate_key_exits_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n_samples": 1},
+        {"n": 0, "init": "uniform"},
+        {"d": 0, "init": "uniform"},
+        {"n_samples": True},
+        {"n": 2.7},
+        {"dt": True},
+    ],
+    ids=["n_samples_1", "n_0", "d_0", "n_samples_bool", "n_fraction", "dt_bool"],
+)
+def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_small_e1_passes(tmp_path):
     cfg = _write(
         tmp_path / "e1.json",
@@ -145,7 +165,7 @@ def test_sweep_seed_axis_reports_spread(tmp_path):
         },
     )
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "2"]) == EXIT_PASS
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_PASS
     lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
     assert len(lines) == 4
     header = lines[0].split(",")
@@ -193,8 +213,60 @@ def test_sweep_across_admissibility_boundary(tmp_path):
     assert flags == ["0", "1", "1", "1", "0"]
 
 
+def test_sweep_diverging_point_becomes_failed_row(tmp_path):
+    # dt = 0.3 drifts off the sphere past the tolerance and raises mid-run
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e1",
+            "n": 8,
+            "t_end": 2.0,
+            "n_samples": 30,
+            "axis": {"parameter": "dt", "values": [0.001, 0.3]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    assert (out / "point_000" / "e1_report.json").exists()
+    assert not (out / "point_001").exists()
+    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["passed"] for row in rows] == ["1", "0"]
+    assert rows[0]["error"] == ""
+    assert "drift" in rows[1]["error"]
+
+
+def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e7",
+            "t_end": 0.5,
+            "n_samples": 20,
+            "axis": {"parameter": "n", "values": [4.0, 2.5]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    report = json.loads((out / "point_000" / "e7_report.json").read_text())
+    assert report["config"]["n"] == 4
+    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["passed"] for row in rows] == ["1", "0"]
+    assert "expected an integer" in rows[1]["error"]
+
+
 def test_usage_error_exit_code():
     assert main(["bogus-command"]) == EXIT_USAGE
+
+
+def test_workers_flag_is_rejected(tmp_path, sim_config):
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", sim_config, "--out", str(out), "--workers", "2"])
+    assert code == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

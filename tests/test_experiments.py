@@ -45,6 +45,12 @@ def test_unknown_key_rejected():
         ExperimentConfig.from_dict({"experiment": "e1", "bogus": 1})
 
 
+@pytest.mark.parametrize("key, value", [("n_grid", [16, 32.5]), ("kappa1", True)])
+def test_mistyped_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"config key {key!r}"):
+        ExperimentConfig.from_dict({"experiment": "e3", key: value})
+
+
 def test_defaults_cover_every_experiment():
     for experiment in DEFAULTS:
         cfg = ExperimentConfig.from_dict({"experiment": experiment})

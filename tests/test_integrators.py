@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from lohesphere.dynamics import CouplingParams, Ensemble, lhs_rhs
+from lohesphere.dynamics import CouplingParams, Ensemble, coupling_rhs, lhs_rhs
 from lohesphere.geometry import matrix_exp, matrix_exp_family
 from lohesphere.integrators import (
     IntegrationError,
     IntegratorConfig,
-    coupling_only_rhs,
     integrate,
     rk4_step,
     split_transform,
-    step_rk4,
 )
 from lohesphere.observables import functional_F
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states, sample_admissible
@@ -24,8 +22,8 @@ def test_equilibrium_step_is_exact():
     state = np.array([0.5, 0.5j, 0.5, 0.5], dtype=complex)
     states = np.tile(state, (5, 1))
     ens = Ensemble.zero_frequency(states, PARAMS)
-    stepped = step_rk4(ens, 1e-2)
-    assert np.array_equal(stepped.states, states)
+    traj, _ = integrate(ens, IntegratorConfig(t_end=1e-2, dt=1e-2))
+    assert np.array_equal(traj.snapshots[-1], states)
 
 
 def test_single_particle_matches_linear_flow():
@@ -33,10 +31,10 @@ def test_single_particle_matches_linear_flow():
     z = np.array([[0.6, 0.8j]], dtype=complex)
     dt = 1e-2
     ens = Ensemble.with_common_frequency(z, omega, PARAMS)
-    stepped = step_rk4(ens, dt)
+    traj, _ = integrate(ens, IntegratorConfig(t_end=dt, dt=dt))
     exact = (matrix_exp(omega, dt) @ z[0])[None, :]
     # single-step defect of RK4 against the exact rotation is O(dt^5)
-    assert np.max(np.abs(stepped.states - exact)) < 10 * dt**5
+    assert np.max(np.abs(traj.snapshots[-1] - exact)) < 10 * dt**5
 
 
 def test_order_four_convergence():
@@ -92,8 +90,12 @@ def test_drift_violation_raises_with_diagnostic():
     states = random_sphere_states(rng, 4, 2)
     omega = random_skew_hermitian(rng, 2, 10.0)
     ens = Ensemble.with_common_frequency(states, omega, PARAMS)
-    with pytest.raises(IntegrationError, match="drift"):
+    with pytest.raises(IntegrationError, match=r"drift .* at step \d+ \(t = .*, particle \d+\)"):
         integrate(ens, IntegratorConfig(t_end=10.0, dt=0.9, unit_drift_tol=1e-10))
+    # an overflowing step is named the same way, even with the drift check off
+    huge = Ensemble.zero_frequency(states, CouplingParams(1e308, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match=r"non-finite .*particle"):
+        integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10, unit_drift_tol=np.inf))
 
 
 def test_reversed_time_consistency():
@@ -165,7 +167,7 @@ def test_split_transform_solves_zero_frequency_system():
     for k in range(1, len(split) - 1):
         h = split.times[k + 1] - split.times[k]
         w_dot = (split.snapshots[k + 1] - split.snapshots[k - 1]) / (2.0 * h)
-        residual = w_dot - coupling_only_rhs(split.snapshots[k], PARAMS)
+        residual = w_dot - coupling_rhs(split.snapshots[k], PARAMS)
         worst = max(worst, float(np.max(np.abs(residual))))
     assert worst < 1e-6
 
