@@ -50,6 +50,7 @@ from .observables import (
     j_vector,
     lp_distance,
     order_parameter,
+    pair_extremes,
     r_squared_rate,
 )
 from .sampling import AdmissibilityCheck, sample_admissible
@@ -106,6 +107,7 @@ __all__ = [
     "j_vector",
     "lp_distance",
     "order_parameter",
+    "pair_extremes",
     "r_squared_rate",
     "AdmissibilityCheck",
     "sample_admissible",

@@ -7,7 +7,9 @@ Usage:
     lohesphere sweep     --config cfg.json --out DIR [--seed S]
 
 Configs are JSON key-value trees.  Exit codes: 0 on success (all gating
-assertions pass), 1 on assertion failure, 2 on usage/config errors.  Every
+assertions pass), 1 on assertion failure, 2 on usage/config errors and on
+a run that diverges (an ``integration error:`` line names the step, t and
+the particle; a sweep records such a point as a failed row).  Every
 emitted file is listed in a manifest; observable CSVs are byte-reproducible
 for a fixed (config, seed, version).
 """
@@ -31,6 +33,7 @@ from .experiments import (
     ExperimentConfig,
     RunConfig,
     _admissible_ensemble,
+    _coerce,
     _integrator_config,
     run_experiment,
     standard_observers,
@@ -174,7 +177,13 @@ def _axis_values(raw: dict):
     if "values" in axis:
         values = list(axis["values"])
     elif {"start", "stop", "num"} <= set(axis):
-        values = list(np.linspace(axis["start"], axis["stop"], int(axis["num"])))
+        try:
+            num = _coerce("int", axis["num"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep axis 'num': {exc}") from exc
+        if num < 1:
+            raise ConfigError(f"sweep axis 'num' must be positive, got {num}")
+        values = list(np.linspace(axis["start"], axis["stop"], num))
     else:
         raise ConfigError("axis needs either 'values' or 'start'/'stop'/'num'")
     if not values:
@@ -280,6 +289,9 @@ def main(argv=None) -> int:
         return cmd_sweep(raw, out_dir, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IntegrationError as exc:
+        print(f"integration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

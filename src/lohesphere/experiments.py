@@ -34,9 +34,9 @@ from .observables import (
     aggregation_defect,
     dj_dt_norm_bound_check,
     functional_F,
-    functional_G,
     j_vector,
     order_parameter,
+    pair_extremes,
     r_squared_rate,
 )
 from .sampling import (
@@ -299,21 +299,33 @@ def _integrator_config(cfg: RunConfig, t_end: float | None = None) -> Integrator
 
 
 def standard_observers(params: CouplingParams, with_dj: bool) -> dict:
-    """Observer set recorded along every experiment trajectory."""
+    """Observer set recorded along every experiment trajectory.
 
-    def as_measure(states):
-        return EmpiricalMeasure.uniform(states)
+    The observers of one record share one pair scan for F and G, one
+    uniform measure and one R.  They are kept for the last states array
+    seen, matched by identity: ``integrate`` passes every observer of a
+    record the same array and never writes into it, and the kept reference
+    stops the array's id from being reused by the next record's array.
+    """
+    last: dict = {}
+
+    def record(s) -> dict:
+        if last.get("states") is not s:
+            f, g = pair_extremes(s)
+            measure = EmpiricalMeasure.uniform(s)
+            last.update(states=s, F=f, G=g, measure=measure, R=order_parameter(measure))
+        return last
 
     obs = {
-        "F": lambda t, s: functional_F(s),
-        "G": lambda t, s: functional_G(s),
-        "R": lambda t, s: order_parameter(as_measure(s)),
-        "R2": lambda t, s: order_parameter(as_measure(s)) ** 2,
-        "defect": lambda t, s: aggregation_defect(as_measure(s)),
+        "F": lambda t, s: record(s)["F"],
+        "G": lambda t, s: record(s)["G"],
+        "R": lambda t, s: record(s)["R"],
+        "R2": lambda t, s: record(s)["R"] ** 2,
+        "defect": lambda t, s: aggregation_defect(record(s)["measure"]),
     }
     if with_dj:
         obs["dj_norm"] = lambda t, s: dj_dt_norm_bound_check(
-            as_measure(s), params.kappa0, params.kappa1
+            record(s)["measure"], params.kappa0, params.kappa1
         )[0]
     return obs
 

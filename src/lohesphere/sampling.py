@@ -107,6 +107,8 @@ def admissible_cap_states(
 
     Draws in a cap around a random reference point and shrinks the cap until
     F < CAP_SAFETY * threshold, so downstream bounds start with a margin.
+    F is the exact O(N^2) pair scan at every N, so a draw at N well above
+    10^4 takes seconds.
     """
     if n < 1:
         raise ValueError("need at least one state")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, manifests, byte-reproducibility."""
 
 import json
+import re
 
 import pytest
 
@@ -153,6 +154,18 @@ def test_sweep_empty_axis_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("num", [2.7, True, "2"], ids=["fraction", "bool", "string"])
+def test_sweep_axis_num_must_be_an_integer(tmp_path, capsys, num):
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {"experiment": "e7", "axis": {"parameter": "kappa1", "start": 0.0, "stop": 0.2, "num": num}},
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "config error: sweep axis 'num'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_seed_axis_reports_spread(tmp_path):
     cfg = _write(
         tmp_path / "sweep.json",
@@ -256,6 +269,22 @@ def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert [row["passed"] for row in rows] == ["1", "0"]
     assert "expected an integer" in rows[1]["error"]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("experiment", {"experiment": "e1", "n": 8, "t_end": 2.0, "n_samples": 30, "dt": 0.3}),
+        ("simulate", {"dt": 1.0, "t_end": 2}),
+    ],
+    ids=["experiment", "simulate"],
+)
+def test_diverging_run_exits_2_with_one_line(tmp_path, capsys, command, payload):
+    cfg = _write(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert re.fullmatch(r"integration error: .* at step \d+ \(t = \S+, particle \d+\)", err[0])
 
 
 def test_usage_error_exit_code():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lohesphere import experiments
 from lohesphere.experiments import (
     DEFAULTS,
     ConfigError,
@@ -11,6 +12,16 @@ from lohesphere.experiments import (
     run_e6,
     run_experiment,
 )
+from lohesphere.integrators import IntegratorConfig, integrate
+from lohesphere.observables import (
+    aggregation_defect,
+    dj_dt_norm_bound_check,
+    functional_F,
+    functional_G,
+    order_parameter,
+)
+from lohesphere.sampling import sample_admissible
+from lohesphere.transport import EmpiricalMeasure
 
 # small overrides that keep each experiment's logic intact but quick
 SMALL = {
@@ -33,6 +44,37 @@ def test_experiment_passes_at_small_scale(experiment):
     for check in report.checks:
         assert check.comparator in ("<=", ">=")
         assert np.isfinite(check.observed)
+
+
+def test_standard_observers_share_one_pair_scan_per_record(monkeypatch):
+    scans = []
+    pair_extremes = experiments.pair_extremes
+
+    def counted(states):
+        scans.append(states)
+        return pair_extremes(states)
+
+    monkeypatch.setattr(experiments, "pair_extremes", counted)
+    ens = sample_admissible(40, 3, 1.0, 0.1, 0.3, seed=4, omega_scale=0.5)
+    params = ens.params
+    traj, series = integrate(
+        ens,
+        IntegratorConfig(t_end=0.02, dt=1e-3, record_every=3),
+        experiments.standard_observers(params, True),
+    )
+    assert len(scans) == len(traj.times) == 8
+    for k, snap in enumerate(traj.snapshots):
+        measure = EmpiricalMeasure.uniform(snap)
+        r = order_parameter(measure)
+        expected = {
+            "F": functional_F(snap),
+            "G": functional_G(snap),
+            "R": r,
+            "R2": r**2,
+            "defect": aggregation_defect(measure),
+            "dj_norm": dj_dt_norm_bound_check(measure, params.kappa0, params.kappa1)[0],
+        }
+        assert {name: series.column(name)[k] for name in expected} == expected
 
 
 def test_unknown_experiment_rejected():

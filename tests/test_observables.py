@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lohesphere import observables
 from lohesphere.dynamics import CouplingParams, Ensemble
 from lohesphere.experiments import fd_r_squared_rate
 from lohesphere.integrators import IntegratorConfig, integrate
@@ -20,9 +23,15 @@ from lohesphere.observables import (
     j_vector,
     lp_distance,
     order_parameter,
+    pair_extremes,
     r_squared_rate,
 )
-from lohesphere.sampling import admissible_cap_states, random_sphere_states, sample_admissible
+from lohesphere.sampling import (
+    admissible_cap_states,
+    jitter_states,
+    random_sphere_states,
+    sample_admissible,
+)
 from lohesphere.transport import EmpiricalMeasure
 
 E1 = np.array([1.0, 0.0], dtype=complex)
@@ -54,6 +63,99 @@ def test_pair_inequality_random():
     for _ in range(200):
         states = random_sphere_states(rng, int(rng.integers(2, 12)), 3)
         assert functional_G(states) <= 2.0 * np.sqrt(functional_F(states)) + 1e-12
+
+
+def _unblocked_pair_extremes(states):
+    """F and G from one full Gram, the formulas the blocked scan must reproduce."""
+    gram = np.conj(states) @ states.T
+    f = float(np.max(np.abs(1.0 - gram)))
+    norm_sq = np.diag(gram).real
+    dist_sq = norm_sq[:, None] + norm_sq[None, :] - 2.0 * gram.real
+    return f, float(np.sqrt(max(float(np.max(dist_sq)), 0.0)))
+
+
+def _exact_unit_row(d, phase):
+    """A unit row whose Gram entries are exact: (1+i)/2 and (1-i)/2, or one phase."""
+    row = np.zeros(d, dtype=complex)
+    if d == 1:
+        row[0] = phase
+    else:
+        row[0], row[1] = 0.5 * (1 + 1j) * phase, 0.5 * (1 - 1j) * phase
+    return row
+
+
+@st.composite
+def ensembles(draw, near_consensus=False):
+    """Random unit states, some rows replaced by one exact unit row; with
+    near_consensus, optionally all of them jittered off one point instead,
+    so that G is made of rounding noise and many rows nearly tie for it."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = random_sphere_states(rng, n, d)
+    spread = draw(st.sampled_from([None, 1e-15, 1e-9, 1e-4])) if near_consensus else None
+    if spread is not None:
+        return jitter_states(rng, np.repeat(states[:1], n, axis=0), spread), False
+    n_consensus = draw(st.integers(0, n))
+    phase = draw(st.sampled_from([1, -1, 1j, -1j]))
+    states[:n_consensus] = _exact_unit_row(d, phase)
+    return states, n_consensus == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(ensembles(near_consensus=True), st.integers(1, 5))
+def test_pair_scan_in_small_blocks_equals_unblocked_formula(ensemble, rows):
+    states, consensus = ensemble
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(observables, "PAIR_BLOCK", rows * states.shape[0])
+        f, g = pair_extremes(states)
+    assert (f, g) == _unblocked_pair_extremes(states)
+    assert (f, g) == pair_extremes(states)
+    if consensus:
+        assert f == 0.0 and g == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensembles(), st.integers(0, 2**32 - 1))
+def test_pair_scan_is_permutation_invariant_and_meets_pair_inequality(ensemble, seed):
+    states, _ = ensemble
+    f, g = pair_extremes(states)
+    perm = np.random.default_rng(seed).permutation(states.shape[0])
+    f_perm, g_perm = pair_extremes(states[perm])
+    # the same pairs at other places in the Gram, which BLAS may round differently
+    assert f_perm == pytest.approx(f, rel=0.0, abs=1e-14)
+    assert g_perm**2 == pytest.approx(g**2, rel=0.0, abs=1e-14)
+    assert g <= 2.0 * np.sqrt(f)
+
+
+def test_pair_scan_is_exact_above_4096_atoms():
+    # the worst pair sits at two indices a 4096-atom subsample skips
+    n, d = 5000, 3
+    rng = np.random.default_rng(11)
+    states = admissible_cap_states(rng, n, d, 0.3)
+    skipped = sorted(set(range(n)) - set(np.linspace(0, n - 1, 4096).astype(int)))
+    i, j = skipped[100], skipped[-100]
+    axis = np.zeros(d, dtype=complex)
+    axis[0] = 1.0
+    states[i], states[j] = axis, -axis
+
+    def row(k):
+        # row k of the Gram, as the first row of a two-row product
+        return (np.conj(states[[k, k - 1]]) @ states.T)[0]
+
+    def row_scan():
+        norm_sq = np.array([row(k)[k].real for k in range(n)])
+        f = g_sq = 0.0
+        for k in range(n):
+            gram_row = row(k)
+            f = max(f, float(np.max(np.abs(1.0 - gram_row))))
+            g_sq = max(g_sq, float(np.max(norm_sq[k] + norm_sq - 2.0 * gram_row.real)))
+        return f, float(np.sqrt(g_sq))
+
+    assert pair_extremes(states) == row_scan() == (2.0, 2.0)
+    assert functional_F(states) == 2.0 and functional_G(states) == 2.0
+    subsample = np.delete(states, skipped, axis=0)
+    assert max(pair_extremes(subsample)) < 2.0
 
 
 def test_correlations_identity_at_consensus():
