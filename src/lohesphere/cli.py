@@ -39,7 +39,7 @@ from .experiments import (
     standard_observers,
 )
 from .integrators import IntegrationError, integrate
-from .sampling import random_skew_hermitian, random_sphere_states
+from .sampling import random_frequencies, random_sphere_states
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -122,17 +122,8 @@ def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
     else:
         rng = np.random.default_rng(cfg.seed)
         states = random_sphere_states(rng, cfg.n, cfg.d)
-        if cfg.heterogeneous:
-            freqs = np.stack(
-                [random_skew_hermitian(rng, cfg.d, cfg.omega_scale) for _ in range(cfg.n)]
-            )
-            ens = Ensemble(states, freqs, params)
-        elif cfg.omega_scale > 0:
-            ens = Ensemble.with_common_frequency(
-                states, random_skew_hermitian(rng, cfg.d, cfg.omega_scale), params
-            )
-        else:
-            ens = Ensemble.zero_frequency(states, params)
+        freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
+        ens = Ensemble(states, freqs, params)
 
     observers = standard_observers(params, with_dj=False)
     for k in range(cfg.d):
@@ -175,15 +166,19 @@ def _axis_values(raw: dict):
         raise ConfigError("sweep config needs an 'axis' object with a 'parameter' key")
     parameter = axis["parameter"]
     if "values" in axis:
-        values = list(axis["values"])
+        values = axis["values"]
+        if not isinstance(values, list):
+            raise ConfigError(f"sweep axis 'values': expected a list, got {values!r}")
     elif {"start", "stop", "num"} <= set(axis):
-        try:
-            num = _coerce("int", axis["num"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep axis 'num': {exc}") from exc
-        if num < 1:
-            raise ConfigError(f"sweep axis 'num' must be positive, got {num}")
-        values = list(np.linspace(axis["start"], axis["stop"], num))
+        grid = {}
+        for key, kind in (("start", "float"), ("stop", "float"), ("num", "int")):
+            try:
+                grid[key] = _coerce(kind, axis[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep axis {key!r}: {exc}") from exc
+        if grid["num"] < 1:
+            raise ConfigError(f"sweep axis 'num' must be positive, got {grid['num']}")
+        values = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
     else:
         raise ConfigError("axis needs either 'values' or 'start'/'stop'/'num'")
     if not values:

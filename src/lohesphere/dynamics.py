@@ -192,44 +192,28 @@ def _coupling_into(
         out += np.multiply((kappa1 * (-2j * inner_cj.imag))[:, None], states, out=scratch)
 
 
-def _centroid_rhs(
-    states: NDArray[np.complexfloating], params: CouplingParams, ens: Ensemble | None = None
-) -> NDArray[np.complexfloating]:
-    """Coupling force of ``states``, plus the free flow of ``ens`` when one is given.
+def lhs_rhs(ens: Ensemble) -> NDArray[np.complexfloating]:
+    """Time derivative of every state under the centroid-reduced model.
 
     One reduction gives z_c; the per-particle force follows in O(N d), one
-    block of BLOCK_ROWS particles at a time.
+    block of BLOCK_ROWS particles at a time.  Makes no BLAS call, so its
+    O(N) cost does not depend on the BLAS thread count.
     """
+    states = ens.states
     n = states.shape[0]
     # states.mean(axis=0) bit for bit (the same sum and division) without its
     # Python wrapper, which costs about 5 % of a call at N = 16..128
     zc = np.add.reduce(states, axis=0) / n
     out = np.empty_like(states)
     scratch = np.empty_like(states[:BLOCK_ROWS])
-    free_flow = ens is not None and not ens._omega_zero
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block, block_out = states[rows], out[rows]
         tmp = scratch[: block.shape[0]]
-        _coupling_into(block, zc, params, block_out, tmp)
-        if free_flow:
+        _coupling_into(block, zc, ens.params, block_out, tmp)
+        if not ens._omega_zero:
             block_out += _free_flow(ens, block, rows, out=tmp)
     return out
-
-
-def coupling_rhs(
-    states: NDArray[np.complexfloating], params: CouplingParams
-) -> NDArray[np.complexfloating]:
-    """Centroid-reduced coupling force, without the free flow."""
-    return _centroid_rhs(states, params)
-
-
-def lhs_rhs(ens: Ensemble) -> NDArray[np.complexfloating]:
-    """Time derivative of every state under the centroid-reduced model.
-
-    Makes no BLAS call, so its O(N) cost does not depend on the BLAS thread count.
-    """
-    return _centroid_rhs(ens.states, ens.params, ens)
 
 
 def lhs_rhs_pairwise(ens: Ensemble) -> NDArray[np.complexfloating]:

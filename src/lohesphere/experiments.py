@@ -28,13 +28,14 @@ from numpy.typing import NDArray
 
 from .dynamics import CouplingParams, Ensemble, lhs_rhs
 from .geometry import matrix_exp_family
-from .integrators import IntegratorConfig, Trajectory, integrate, rk4_step
+from .integrators import IntegratorConfig, integrate, rk4_step
 from .observables import (
     ObservableSeries,
     aggregation_defect,
     dj_dt_norm_bound_check,
     functional_F,
     j_vector,
+    lp_distance,
     order_parameter,
     pair_extremes,
     r_squared_rate,
@@ -43,7 +44,7 @@ from .sampling import (
     admissible_cap_states,
     admissible_threshold,
     jitter_states,
-    random_skew_hermitian,
+    random_frequencies,
     random_sphere_states,
     sample_admissible,
 )
@@ -106,6 +107,8 @@ class RunConfig:
             raise ConfigError("t_end must be nonnegative")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
+        if not self.omega_scale >= 0:
+            raise ConfigError(f"config key 'omega_scale': expected >= 0, got {self.omega_scale}")
 
     @classmethod
     def from_dict(cls, raw: dict, defaults: dict | None = None):
@@ -139,7 +142,7 @@ class ExperimentConfig(RunConfig):
     p_values: tuple[float, ...] = (1.0, 2.0, 4.0)
     t_mid: float = 10.0
     t_long: float = 100.0
-    # e3: nested ensemble sizes
+    # e3: nested ensemble sizes, consecutive doublings
     n_grid: tuple[int, ...] = (16, 32, 64, 128)
     # e6 scenario b: transverse spread of the mirror cluster
     cluster_spread: float = 0.2
@@ -150,6 +153,28 @@ class ExperimentConfig(RunConfig):
                 f"unknown experiment id {self.experiment!r}; expected one of {sorted(EXPERIMENT_IDS)}"
             )
         super().__post_init__()
+        grid = self.n_grid
+        rules = {
+            "n_seeds": (self.n_seeds >= 1, "at least 1"),
+            "horizons": (
+                len(self.horizons) >= 1 and all(h >= 0 for h in self.horizons),
+                "one or more times >= 0",
+            ),
+            "p_values": (
+                len(self.p_values) >= 1 and all(p >= 1 for p in self.p_values),
+                "one or more orders p >= 1",
+            ),
+            "n_grid": (
+                len(grid) >= 2
+                and grid[0] >= 1
+                and all(big == 2 * small for small, big in zip(grid, grid[1:])),
+                "two or more consecutive doublings, e.g. 16,32,64,128",
+            ),
+        }
+        for key, (valid, expected) in rules.items():
+            if not valid:
+                got = getattr(self, key)
+                raise ConfigError(f"config key {key!r}: expected {expected}, got {got!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -490,16 +515,16 @@ def _stability_constant(kappa0: float, kappa1: float, horizon: float) -> float:
     return math.exp(2.0 * horizon * (abs(kappa0) + abs(kappa0 + 2.0 * kappa1)))
 
 
-def _lp_distances(
-    ens_a: Ensemble, ens_b: Ensemble, icfg: IntegratorConfig, p_values
+def _pair_tracks(
+    ens_a: Ensemble, ens_b: Ensemble, icfg: IntegratorConfig, p_values, distance
 ) -> tuple[NDArray, dict[float, NDArray]]:
     """Integrate two ensembles and return the recorded times and, per p, the
-    l^p state distance ``(sum_k ||z_k - w_k||^p)^(1/p)`` at each of them."""
+    track of ``distance(states_a, states_b, p)`` over the recorded snapshots."""
     traj_a, _ = integrate(ens_a, icfg)
     traj_b, _ = integrate(ens_b, icfg)
-    gaps = [np.linalg.norm(a - b, axis=1) for a, b in zip(traj_a.snapshots, traj_b.snapshots)]
+    pairs = list(zip(traj_a.snapshots, traj_b.snapshots))
     return traj_a.times, {
-        p: np.asarray([float(np.sum(g**p) ** (1.0 / p)) for g in gaps]) for p in p_values
+        p: np.asarray([distance(a, b, p) for a, b in pairs]) for p in p_values
     }
 
 
@@ -525,17 +550,10 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         rng = np.random.default_rng(seeds[k])
         states = random_sphere_states(rng, cfg.n, cfg.d)
         other = jitter_states(rng, states, cfg.jitter)
-        if cfg.heterogeneous:
-            freqs = np.stack(
-                [random_skew_hermitian(rng, cfg.d, cfg.omega_scale) for _ in range(cfg.n)]
-            )
-        else:
-            freqs = np.broadcast_to(
-                random_skew_hermitian(rng, cfg.d, cfg.omega_scale), (cfg.n, cfg.d, cfg.d)
-            ).copy()
+        freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
         ens_a = Ensemble(states, freqs, params)
         ens_b = Ensemble(other, freqs, params)
-        times, dists = _lp_distances(ens_a, ens_b, icfg, cfg.p_values)
+        times, dists = _pair_tracks(ens_a, ens_b, icfg, cfg.p_values, lp_distance)
         for p in cfg.p_values:
             track = dists[p]
             initial = track[0]
@@ -546,7 +564,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         if k == 0:
             # grid-density cross-check: the sup changes little at double density
             dense = replace(icfg, record_every=max(icfg.record_every // 2, 1))
-            _, dists_d = _lp_distances(ens_a, ens_b, dense, (2.0,))
+            _, dists_d = _pair_tracks(ens_a, ens_b, dense, (2.0,), lp_distance)
             sup_coarse = float(np.max(dists[2.0]))
             sup_dense = float(np.max(dists_d[2.0]))
             refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
@@ -582,7 +600,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     states = random_sphere_states(rng, cfg.n, cfg.d)
     ens_a = Ensemble.zero_frequency(states, params)
     ens_b = Ensemble.zero_frequency(states.copy(), params)
-    _, dists = _lp_distances(ens_a, ens_b, icfg, (2.0,))
+    _, dists = _pair_tracks(ens_a, ens_b, icfg, (2.0,), lp_distance)
     checks.append(
         _check_le(
             "identical_data_stay_identical",
@@ -600,7 +618,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     other = jitter_states(rng, ens.states, cfg.jitter)
     ens_b = Ensemble.zero_frequency(other, params)
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
-    times, dists = _lp_distances(ens, ens_b, long_cfg, (2.0,))
+    times, dists = _pair_tracks(ens, ens_b, long_cfg, (2.0,), lp_distance)
     saturation, sup_mid, sup_long = _saturation_check(
         "admissible_uniform_in_time",
         dists[2.0] / dists[2.0][0],
@@ -629,20 +647,31 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _nested_trajectories(
+def _nested_w2_tracks(
     cfg: ExperimentConfig, states: NDArray, freqs: NDArray | None, t_end: float
-) -> dict[int, Trajectory]:
+) -> tuple[NDArray, dict[tuple[int, int], NDArray]]:
+    """Integrate the nested ensembles ``states[:n]`` for n in n_grid up to t_end
+    and return the recorded times and, per consecutive pair (n, 2n), the track
+    of W_2(mu^n_t, mu^2n_t).
+
+    freqs=None runs at zero frequency on plain measures; otherwise particle j
+    has frequency ``freqs[j]`` and the measures carry it as a tag.
+    """
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
-    out: dict[int, Trajectory] = {}
     icfg = _integrator_config(cfg, t_end=t_end)
-    for n in sorted(set(cfg.n_grid)):
-        if freqs is None:
-            ens = Ensemble.zero_frequency(states[:n], params)
-        else:
-            ens = Ensemble(states[:n], freqs[:n], params)
-        traj, _ = integrate(ens, icfg)
-        out[n] = traj
-    return out
+    zero = np.zeros((cfg.d, cfg.d), dtype=np.complex128)
+    clouds: dict[int, list[EmpiricalMeasure]] = {}
+    for n in cfg.n_grid:
+        tags = None if freqs is None else freqs[:n]
+        traj, _ = integrate(Ensemble(states[:n], zero if tags is None else tags, params), icfg)
+        clouds[n] = [EmpiricalMeasure.uniform(snap, frequencies=tags) for snap in traj.snapshots]
+    tracks = {
+        (small, big): np.array(
+            [wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])]
+        )
+        for small, big in zip(cfg.n_grid, cfg.n_grid[1:])
+    }
+    return traj.times, tracks
 
 
 def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
@@ -658,33 +687,13 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     """
     threshold = _threshold_or_config_error(cfg)
     rng = np.random.default_rng(cfg.seed)
-    n_max = max(cfg.n_grid)
-    if any(2 * n not in cfg.n_grid and 2 * n <= n_max for n in cfg.n_grid):
-        raise ConfigError("n_grid must consist of consecutive doublings, e.g. 16,32,64,128")
+    n_max = cfg.n_grid[-1]
     states = admissible_cap_states(rng, n_max, cfg.d, threshold)
 
-    trajectories = _nested_trajectories(cfg, states, None, cfg.t_end)
-    pairs = [(n, 2 * n) for n in cfg.n_grid if 2 * n in cfg.n_grid]
-
-    sups: list[float] = []
-    initials: list[float] = []
-    tracks: dict[str, NDArray] = {}
-    grid = trajectories[pairs[0][0]].times
-    for n_small, n_big in pairs:
-        small, big = trajectories[n_small], trajectories[n_big]
-        vals = np.array(
-            [
-                wasserstein_uniform_nested(
-                    EmpiricalMeasure.uniform(small.snapshots[k]),
-                    EmpiricalMeasure.uniform(big.snapshots[k]),
-                    2.0,
-                )
-                for k in range(len(grid))
-            ]
-        )
-        tracks[f"w2_{n_small}_{n_big}"] = vals
-        sups.append(float(np.max(vals)))
-        initials.append(float(vals[0]))
+    grid, w2 = _nested_w2_tracks(cfg, states, None, cfg.t_end)
+    pairs = list(w2)
+    sups = [float(np.max(track)) for track in w2.values()]
+    initials = [float(track[0]) for track in w2.values()]
 
     sups_arr = np.asarray(sups)
     initials_arr = np.asarray(initials)
@@ -708,22 +717,13 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
 
     # heterogeneous-frequency variant over a short horizon (report-only)
     rng_h = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    freqs = np.stack([random_skew_hermitian(rng_h, cfg.d, 0.5) for _ in range(n_max)])
+    freqs = random_frequencies(rng_h, n_max, cfg.d, 0.5, heterogeneous=True)
     t_short = 2.0
-    het = _nested_trajectories(cfg, states, freqs, t_short)
+    _, het = _nested_w2_tracks(cfg, states, freqs, t_short)
     bound_const = _stability_constant(cfg.kappa0, cfg.kappa1, t_short)
-    het_margin = -np.inf
-    for n_small, n_big in pairs:
-        small, big = het[n_small], het[n_big]
-        vals = [
-            wasserstein_uniform_nested(
-                EmpiricalMeasure.uniform(small.snapshots[k], frequencies=freqs[:n_small]),
-                EmpiricalMeasure.uniform(big.snapshots[k], frequencies=freqs[:n_big]),
-                2.0,
-            )
-            for k in range(len(small.times))
-        ]
-        het_margin = max(het_margin, float(np.max(vals) - (bound_const * vals[0] + 0.05)))
+    het_margin = max(
+        float(np.max(track) - (bound_const * track[0] + 0.05)) for track in het.values()
+    )
     checks.append(
         _check_le(
             "heterogeneous_finite_time",
@@ -740,7 +740,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
 
     series = ObservableSeries(
         times=grid,
-        series=tracks,
+        series={f"w2_{small}_{big}": track for (small, big), track in w2.items()},
         metadata={"kappa0": cfg.kappa0, "kappa1": cfg.kappa1, "seed": cfg.seed},
     )
 
@@ -786,25 +786,11 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     other = jitter_states(rng, ens.states, cfg.jitter)
     ens_b = Ensemble(other, ens.frequencies, params)
 
-    t_max = max(cfg.horizons)
-    icfg = _integrator_config(cfg, t_end=t_max)
-    traj_a, _ = integrate(ens, icfg)
-    traj_b, _ = integrate(ens_b, icfg)
-    times = traj_a.times
+    def w_p(a: NDArray, b: NDArray, p: float) -> float:
+        return wasserstein_uniform(EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b), p)
 
-    w_tracks = {
-        p: np.array(
-            [
-                wasserstein_uniform(
-                    EmpiricalMeasure.uniform(traj_a.snapshots[k]),
-                    EmpiricalMeasure.uniform(traj_b.snapshots[k]),
-                    p,
-                )
-                for k in range(len(times))
-            ]
-        )
-        for p in cfg.p_values
-    }
+    icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
+    times, w_tracks = _pair_tracks(ens, ens_b, icfg, cfg.p_values, w_p)
     checks = []
     for horizon in cfg.horizons:
         bound_const = max(_stability_constant(cfg.kappa0, cfg.kappa1, horizon), 1.0)
@@ -835,19 +821,8 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
                 )
 
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
-    traj_a, _ = integrate(ens, long_cfg)
-    traj_b, _ = integrate(ens_b, long_cfg)
-    times_l = traj_a.times
-    w2 = np.array(
-        [
-            wasserstein_uniform(
-                EmpiricalMeasure.uniform(traj_a.snapshots[k]),
-                EmpiricalMeasure.uniform(traj_b.snapshots[k]),
-                2.0,
-            )
-            for k in range(len(times_l))
-        ]
-    )
+    times_l, long_tracks = _pair_tracks(ens, ens_b, long_cfg, (2.0,), w_p)
+    w2 = long_tracks[2.0]
     if w2[0] > 1e-12:
         ratio = w2 / w2[0]
         saturation, sup_mid, sup_long = _saturation_check(
@@ -1168,8 +1143,9 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     rng = np.random.default_rng(cfg.seed)
     states = random_sphere_states(rng, cfg.n, cfg.d)
+    # spread 0 would make the splitting trivial, so e7 then runs at spread 1
     scale = cfg.omega_scale if cfg.omega_scale > 0 else 1.0
-    omega = random_skew_hermitian(rng, cfg.d, scale)
+    omega = random_frequencies(rng, cfg.n, cfg.d, scale, heterogeneous=False)
 
     icfg = _integrator_config(cfg)
     ens_full = Ensemble.with_common_frequency(states, omega, params)

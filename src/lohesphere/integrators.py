@@ -4,9 +4,9 @@ Classical RK4 on the states (complex arrays are the interleaved real
 embedding, and the stepper only ever forms real-linear combinations, so
 stepping in C^d and in R^{2d} are the same computation).  The right-hand
 side is tangent to the sphere, leaving only O(dt^5) norm drift per step;
-a cheap per-particle renormalization removes it.  Drift beyond the
-configured tolerance, or any non-finite value, aborts the run with a
-diagnostic.
+a cheap per-particle renormalization after every step removes it.  Drift
+beyond the configured tolerance, or any non-finite value, aborts the run
+with a diagnostic naming the step, t and the particle.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ class IntegratorConfig:
 
     dt and t_end are in the time units of the coupling gains; the run takes
     ``round(t_end / dt)`` steps.  Norm drift is checked against
-    unit_drift_tol before each renormalization.
+    unit_drift_tol before the renormalization that ends every step.
     """
 
     t_end: float
     dt: float = 1e-3
-    renormalize_every: int = 1
     record_every: int = 1
     unit_drift_tol: float = 1e-8
 
@@ -56,8 +55,6 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.renormalize_every < 1:
-            raise ValueError("renormalize_every must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -157,8 +154,7 @@ def integrate(
     record(0)
     for step in range(1, n_steps + 1):
         states = rk4_step(states, cfg.dt, rhs)
-        if step % cfg.renormalize_every == 0 or step == n_steps:
-            states = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
+        states = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
 

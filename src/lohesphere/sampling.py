@@ -28,6 +28,7 @@ __all__ = [
     "cap_states",
     "admissible_cap_states",
     "random_skew_hermitian",
+    "random_frequencies",
     "sample_admissible",
     "random_sphere_states",
     "jitter_states",
@@ -133,6 +134,22 @@ def random_skew_hermitian(rng: np.random.Generator, d: int, scale: float) -> NDA
     return scale * 0.5 * (g - g.conj().T)
 
 
+def random_frequencies(
+    rng: np.random.Generator, n: int, d: int, scale: float, heterogeneous: bool
+) -> NDArray:
+    """Frequencies of n particles in C^d, as ``Ensemble`` accepts them.
+
+    Spread 0 gives the zero (d, d) matrix and draws nothing; otherwise
+    heterogeneous=True gives n independent draws of shape (n, d, d), and
+    heterogeneous=False one common (d, d) draw.
+    """
+    if scale == 0.0:
+        return np.zeros((d, d), dtype=np.complex128)
+    if heterogeneous:
+        return np.stack([random_skew_hermitian(rng, d, scale) for _ in range(n)])
+    return random_skew_hermitian(rng, d, scale)
+
+
 def sample_admissible(
     n: int,
     d: int,
@@ -145,17 +162,11 @@ def sample_admissible(
 ) -> Ensemble:
     """Admissible ensemble: cap-sampled states plus frequency matrices.
 
-    Frequencies are one common matrix of the given spread (zero spread gives
-    the zero-frequency normal form); with heterogeneous=True each particle
-    gets an independent draw instead.  Deterministic given the seed.
+    Frequencies come from ``random_frequencies`` (zero spread gives the
+    zero-frequency normal form).  Deterministic given the seed.
     """
     threshold = admissible_threshold(kappa0, kappa1, delta)
     rng = np.random.default_rng(seed)
     states = admissible_cap_states(rng, n, d, threshold)
-    params = CouplingParams(kappa0, kappa1)
-    if heterogeneous:
-        freqs = np.stack([random_skew_hermitian(rng, d, omega_scale) for _ in range(n)])
-        return Ensemble(states, freqs, params)
-    if omega_scale == 0.0:
-        return Ensemble.zero_frequency(states, params)
-    return Ensemble.with_common_frequency(states, random_skew_hermitian(rng, d, omega_scale), params)
+    freqs = random_frequencies(rng, n, d, omega_scale, heterogeneous)
+    return Ensemble(states, freqs, CouplingParams(kappa0, kappa1))

@@ -188,16 +188,15 @@ def _check_p(p: float) -> float:
 def wasserstein_uniform(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 2.0) -> float:
     """W_p between uniform equal-size measures by exact min-cost assignment.
 
-    Unequal atom counts or non-uniform weights route to the general linear
-    program; the result is the same metric either way.
+    Equal-size pairs are the nested solve at size ratio 1.  Unequal atom
+    counts or non-uniform weights route to the general linear program; the
+    result is the same metric either way.
     """
     p = _check_p(p)
     if mu.n_atoms != nu.n_atoms or not (mu.is_uniform() and nu.is_uniform()):
         distance, _ = wasserstein_general(mu, nu, p)
         return distance
-    cost, _ = _cost_matrix(mu, nu)
-    rows, cols = linear_sum_assignment(cost**p)
-    return float(np.mean(cost[rows, cols] ** p) ** (1.0 / p))
+    return wasserstein_uniform_nested(mu, nu, p)
 
 
 def wasserstein_uniform_nested(

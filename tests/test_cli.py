@@ -66,8 +66,19 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         {"n_samples": True},
         {"n": 2.7},
         {"dt": True},
+        {"omega_scale": -1},
+        {"omega_scale": -1, "init": "uniform"},
     ],
-    ids=["n_samples_1", "n_0", "d_0", "n_samples_bool", "n_fraction", "dt_bool"],
+    ids=[
+        "n_samples_1",
+        "n_0",
+        "d_0",
+        "n_samples_bool",
+        "n_fraction",
+        "dt_bool",
+        "omega_scale_negative",
+        "omega_scale_negative_uniform",
+    ],
 )
 def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
     cfg = _write(tmp_path / "cfg.json", payload)
@@ -154,15 +165,27 @@ def test_sweep_empty_axis_exits_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("num", [2.7, True, "2"], ids=["fraction", "bool", "string"])
-def test_sweep_axis_num_must_be_an_integer(tmp_path, capsys, num):
+@pytest.mark.parametrize(
+    "axis, key",
+    [
+        ({"start": 0.0, "stop": 0.2, "num": 2.7}, "num"),
+        ({"start": 0.0, "stop": 0.2, "num": True}, "num"),
+        ({"start": 0.0, "stop": 0.2, "num": "2"}, "num"),
+        ({"start": "a", "stop": 0.2, "num": 2}, "start"),
+        ({"start": 0.0, "stop": None, "num": 2}, "stop"),
+        ({"values": 5}, "values"),
+        ({"values": "0.1"}, "values"),
+    ],
+    ids=["fraction", "bool", "string", "start_string", "stop_null", "values_int", "values_str"],
+)
+def test_sweep_axis_num_must_be_an_integer(tmp_path, capsys, axis, key):
     cfg = _write(
         tmp_path / "sweep.json",
-        {"experiment": "e7", "axis": {"parameter": "kappa1", "start": 0.0, "stop": 0.2, "num": num}},
+        {"experiment": "e7", "axis": {"parameter": "kappa1", **axis}},
     )
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    assert "config error: sweep axis 'num'" in capsys.readouterr().err
+    assert f"config error: sweep axis {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -248,6 +271,20 @@ def test_sweep_diverging_point_becomes_failed_row(tmp_path):
     assert [row["passed"] for row in rows] == ["1", "0"]
     assert rows[0]["error"] == ""
     assert "drift" in rows[1]["error"]
+
+
+def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {"experiment": "e4", "axis": {"parameter": "p_values", "values": [[0.5]]}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["passed"] for row in rows] == ["0"]
+    assert "config key 'p_values'" in rows[0]["error"]
 
 
 def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lohesphere import experiments
+from lohesphere.dynamics import CouplingParams, Ensemble
 from lohesphere.experiments import (
     DEFAULTS,
     ConfigError,
@@ -18,10 +19,11 @@ from lohesphere.observables import (
     dj_dt_norm_bound_check,
     functional_F,
     functional_G,
+    lp_distance,
     order_parameter,
 )
-from lohesphere.sampling import sample_admissible
-from lohesphere.transport import EmpiricalMeasure
+from lohesphere.sampling import random_frequencies, random_sphere_states, sample_admissible
+from lohesphere.transport import EmpiricalMeasure, wasserstein_uniform, wasserstein_uniform_nested
 
 # small overrides that keep each experiment's logic intact but quick
 SMALL = {
@@ -77,6 +79,44 @@ def test_standard_observers_share_one_pair_scan_per_record(monkeypatch):
         assert {name: series.column(name)[k] for name in expected} == expected
 
 
+def test_pair_and_nested_tracks_equal_direct_distances():
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "e3", "d": 3, "n_grid": [2, 4, 8], "t_end": 0.2, "n_samples": 5}
+    )
+    rng = np.random.default_rng(4)
+    states = random_sphere_states(rng, 8, 3)
+    freqs = random_frequencies(rng, 8, 3, 0.5, heterogeneous=True)
+    params = CouplingParams(cfg.kappa0, cfg.kappa1)
+    icfg = experiments._integrator_config(cfg)
+    ens_a = Ensemble(states[:4], freqs[:4], params)
+    ens_b = Ensemble(states[4:], freqs[:4], params)
+    snaps_a, snaps_b = (integrate(ens, icfg)[0].snapshots for ens in (ens_a, ens_b))
+
+    def w_p(a, b, p):
+        return wasserstein_uniform(EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b), p)
+
+    for distance in (lp_distance, w_p):  # e2's and e4's comparisons
+        times, tracks = experiments._pair_tracks(ens_a, ens_b, icfg, (1.0, 2.0), distance)
+        assert len(times) == len(snaps_a) == 5
+        for p in (1.0, 2.0):
+            assert tracks[p].tolist() == [distance(a, b, p) for a, b in zip(snaps_a, snaps_b)]
+
+    for tags in (None, freqs):  # e3's plain and frequency-tagged comparisons
+        _, tracks = experiments._nested_w2_tracks(cfg, states, tags, 0.2)
+        assert list(tracks) == [(2, 4), (4, 8)]
+        for small, big in tracks:
+            clouds = {}
+            for n in (small, big):
+                tags_n = None if tags is None else tags[:n]
+                ens = Ensemble(states[:n], np.zeros((3, 3)) if tags is None else tags_n, params)
+                snaps = integrate(ens, icfg)[0].snapshots
+                clouds[n] = [EmpiricalMeasure.uniform(s, frequencies=tags_n) for s in snaps]
+            expected = [
+                wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])
+            ]
+            assert tracks[(small, big)].tolist() == expected
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(ConfigError, match="unknown experiment"):
         ExperimentConfig.from_dict({"experiment": "e9"})
@@ -87,7 +127,24 @@ def test_unknown_key_rejected():
         ExperimentConfig.from_dict({"experiment": "e1", "bogus": 1})
 
 
-@pytest.mark.parametrize("key, value", [("n_grid", [16, 32.5]), ("kappa1", True)])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_grid", [16, 32.5]),
+        ("kappa1", True),
+        ("n_grid", [16]),
+        ("n_grid", []),
+        ("n_grid", [16, 64]),
+        ("n_grid", [32, 16]),
+        ("n_grid", [0, 0]),
+        ("horizons", []),
+        ("horizons", [-1.0]),
+        ("p_values", []),
+        ("p_values", [0.5]),
+        ("n_seeds", 0),
+        ("omega_scale", -1.0),
+    ],
+)
 def test_mistyped_value_rejected(key, value):
     with pytest.raises(ConfigError, match=f"config key {key!r}"):
         ExperimentConfig.from_dict({"experiment": "e3", key: value})

@@ -7,6 +7,8 @@ from lohesphere.observables import functional_F
 from lohesphere.sampling import (
     AdmissibilityCheck,
     admissible_threshold,
+    random_frequencies,
+    random_skew_hermitian,
     sample_admissible,
 )
 
@@ -50,6 +52,22 @@ def test_infeasible_delta_raises():
         sample_admissible(8, 3, 1.0, 0.4, 0.5, seed=0)  # bound is 1 - 0.8 = 0.2 < delta
     with pytest.raises(ValueError, match="kappa"):
         admissible_threshold(1.0, 0.6, 0.1)
+
+
+@pytest.mark.parametrize("heterogeneous", [False, True], ids=["common", "heterogeneous"])
+@pytest.mark.parametrize("scale", [0.0, 0.7], ids=["zero", "spread"])
+def test_random_frequencies_draws_one_matrix_per_particle_or_one_or_none(scale, heterogeneous):
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    freqs = random_frequencies(rng, 5, 3, scale, heterogeneous)
+    if scale == 0.0:
+        expected = np.zeros((3, 3), dtype=complex)
+    elif heterogeneous:
+        expected = np.stack([random_skew_hermitian(twin, 3, scale) for _ in range(5)])
+    else:
+        expected = random_skew_hermitian(twin, 3, scale)
+    assert freqs.shape == expected.shape
+    assert np.array_equal(freqs, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_heterogeneous_frequencies():

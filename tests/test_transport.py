@@ -121,6 +121,12 @@ def test_nested_solver_is_exact():
         fast = wasserstein_uniform_nested(mu, nu, 2.0)
         exact, _ = wasserstein_general(mu, nu, 2.0)
         assert fast == pytest.approx(exact, abs=1e-10)
+        # size ratio 1: the equal-size assignment, bit for bit
+        same_size = _uniform(nu.atoms[:n])
+        for p in (1.0, 2.0, 4.0):
+            assert wasserstein_uniform(mu, same_size, p) == wasserstein_uniform_nested(
+                mu, same_size, p
+            )
 
 
 def test_nested_solver_rejects_non_divisible():
