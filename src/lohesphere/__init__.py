@@ -22,7 +22,6 @@ from .dynamics import (
 from .geometry import (
     embed,
     hermitian_inner,
-    matrix_exp,
     matrix_exp_family,
     project_phase,
     project_tangent,
@@ -38,12 +37,8 @@ from .integrators import (
     split_transform,
 )
 from .observables import (
-    CorrelationData,
     ObservableSeries,
     aggregation_defect,
-    centroid,
-    centroid_rate,
-    correlations,
     dj_dt_norm_bound_check,
     functional_F,
     functional_G,
@@ -53,7 +48,7 @@ from .observables import (
     pair_extremes,
     r_squared_rate,
 )
-from .sampling import AdmissibilityCheck, sample_admissible
+from .sampling import sample_admissible
 from .transport import (
     EmpiricalMeasure,
     SupportSizeError,
@@ -62,7 +57,6 @@ from .transport import (
     wasserstein_general,
     wasserstein_uniform,
     wasserstein_uniform_nested,
-    xi_distance,
 )
 from .experiments import (
     ConfigError,
@@ -83,7 +77,6 @@ __all__ = [
     "mean_field_velocity",
     "embed",
     "hermitian_inner",
-    "matrix_exp",
     "matrix_exp_family",
     "project_phase",
     "project_tangent",
@@ -95,12 +88,8 @@ __all__ = [
     "Trajectory",
     "integrate",
     "split_transform",
-    "CorrelationData",
     "ObservableSeries",
     "aggregation_defect",
-    "centroid",
-    "centroid_rate",
-    "correlations",
     "dj_dt_norm_bound_check",
     "functional_F",
     "functional_G",
@@ -109,7 +98,6 @@ __all__ = [
     "order_parameter",
     "pair_extremes",
     "r_squared_rate",
-    "AdmissibilityCheck",
     "sample_admissible",
     "EmpiricalMeasure",
     "SupportSizeError",
@@ -118,7 +106,6 @@ __all__ = [
     "wasserstein_general",
     "wasserstein_uniform",
     "wasserstein_uniform_nested",
-    "xi_distance",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",

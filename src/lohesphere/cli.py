@@ -17,6 +17,7 @@ for a fixed (config, seed, version).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -227,15 +228,14 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
             if key not in columns:
                 columns.append(key)
     agg_path = out_dir / "sweep_aggregate.csv"
-    with open(agg_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
+        # the writer quotes a cell holding a comma, such as a tuple-valued axis point
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            fh.write(
-                ",".join(
-                    f"{row[c]:.17g}" if isinstance(row.get(c), float) else str(row.get(c, ""))
-                    for c in columns
-                )
-                + "\n"
+            writer.writerow(
+                f"{row[c]:.17g}" if isinstance(row.get(c), float) else str(row.get(c, ""))
+                for c in columns
             )
     artifacts.append(agg_path)
     _write_manifest(out_dir, "sweep", config_path, raw, artifacts)

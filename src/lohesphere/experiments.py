@@ -27,8 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import CouplingParams, Ensemble, lhs_rhs
-from .geometry import matrix_exp_family
-from .integrators import IntegratorConfig, integrate, rk4_step
+from .integrators import IntegratorConfig, integrate, rk4_step, split_transform
 from .observables import (
     ObservableSeries,
     aggregation_defect,
@@ -196,13 +195,17 @@ class ExperimentConfig(RunConfig):
 
 def _coerce(type_name: str, value):
     if type_name == "int":
-        if isinstance(value, bool) or int(value) != value:
+        # int() of an infinity raises OverflowError, which callers do not catch
+        if isinstance(value, bool) or value in (math.inf, -math.inf) or int(value) != value:
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if type_name == "float":
         if isinstance(value, bool):
             raise ValueError(f"expected a number, got {value!r}")
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        return value
     if type_name == "bool":
         if not isinstance(value, bool):
             raise ValueError(f"expected a boolean, got {value!r}")
@@ -231,18 +234,6 @@ class CheckResult:
     tolerance: float
     gating: bool = True
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "limit": self.limit,
-            "comparator": self.comparator,
-            "tolerance": self.tolerance,
-            "gating": self.gating,
-            "detail": self.detail,
-        }
 
 
 def _check_le(name, observed, limit, tolerance, gating=True, detail="") -> CheckResult:
@@ -273,11 +264,15 @@ def _check_ge(name, observed, limit, tolerance, gating=True, detail="") -> Check
 
 @dataclass
 class ExperimentReport:
-    """Experiment output: config snapshot, verdicts, summary data, series."""
+    """Experiment output: config snapshot, verdicts, summary data, series.
 
-    experiment: str
-    config: dict
-    seed: int
+    A runner fills in the verdicts, data and series; ``run_experiment`` sets
+    the experiment id, the config snapshot and the seed.
+    """
+
+    experiment: str = ""
+    config: dict = field(default_factory=dict)
+    seed: int = 0
     checks: list[CheckResult] = field(default_factory=list)
     data: dict = field(default_factory=dict)
     series: dict[str, ObservableSeries] = field(default_factory=dict)
@@ -293,7 +288,7 @@ class ExperimentReport:
             "config": self.config,
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "data": _jsonable(self.data),
             "wall_clock_seconds": self.wall_clock,
         }
@@ -497,9 +492,6 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     return ExperimentReport(
-        experiment="e1",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={"f0": f0, "guaranteed_rate": rate, "fitted_rate": fitted},
         series={"observables": series},
@@ -630,9 +622,6 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(saturation)
 
     return ExperimentReport(
-        experiment="e2",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={
             "worst_ratios": {f"T{h:g}_p{p:g}": worst[(h, p)] for (h, p) in worst},
@@ -745,9 +734,6 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     return ExperimentReport(
-        experiment="e3",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={
             "pairs": [list(p) for p in pairs],
@@ -853,9 +839,6 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
         metadata={"jitter": cfg.jitter, "seed": cfg.seed},
     )
     return ExperimentReport(
-        experiment="e4",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={"sup_ratio_mid": sup_mid, "sup_ratio_long": sup_long},
         series={"w2_ratio": series},
@@ -962,9 +945,6 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         )
 
     return ExperimentReport(
-        experiment="e5",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={
             "defect_initial": float(defect[0]),
@@ -1113,9 +1093,6 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     return ExperimentReport(
-        experiment="e6",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={
             "a_alignment": alignment,
@@ -1153,13 +1130,9 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
     traj_full, series_full = integrate(ens_full, icfg, standard_observers(params, False))
     traj_zero, series_zero = integrate(ens_zero, icfg, standard_observers(params, False))
 
-    propagator = matrix_exp_family(omega)
-    deviation = 0.0
-    for k, t in enumerate(traj_full.times):
-        rotated = traj_zero.snapshots[k] @ propagator(float(t)).T
-        deviation = max(
-            deviation, float(np.max(np.linalg.norm(traj_full.snapshots[k] - rotated, axis=1)))
-        )
+    # exp(Omega t) is unitary, so ||z_j - exp(Omega t) w_j|| = ||exp(-Omega t) z_j - w_j||
+    split = split_transform(traj_full, omega)
+    deviation = float(np.max(np.linalg.norm(split.snapshots - traj_zero.snapshots, axis=2)))
 
     obs_gap = max(
         float(np.max(np.abs(series_full.column(name) - series_zero.column(name))))
@@ -1183,9 +1156,6 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
         pair_inequality_check(series_full),
     ]
     return ExperimentReport(
-        experiment="e7",
-        config=cfg.to_dict(),
-        seed=cfg.seed,
         checks=checks,
         data={"max_deviation": deviation, "max_observable_gap": obs_gap},
         series={"observables": series_full},
@@ -1196,56 +1166,22 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
 # registry
 # ---------------------------------------------------------------------------
 
+#: per-experiment values that differ from the RunConfig / ExperimentConfig defaults
 DEFAULTS: dict[str, dict] = {
-    "e1": {"n": 64, "d": 4, "kappa0": 1.0, "kappa1": -0.2, "delta": 0.05, "t_end": 20.0},
+    "e1": {"kappa1": -0.2},
     "e2": {
         "n": 16,
-        "d": 4,
-        "kappa0": 1.0,
         "kappa1": 0.2,
         "delta": 0.5,
         "t_end": 2.0,
         "omega_scale": 0.5,
         "heterogeneous": True,
-        "jitter": 1e-2,
     },
-    "e3": {
-        "n": 128,
-        "d": 4,
-        "kappa0": 1.0,
-        "kappa1": 0.1,
-        "delta": 0.3,
-        "t_end": 50.0,
-        "n_grid": (16, 32, 64, 128),
-    },
-    "e4": {
-        "n": 16,
-        "d": 4,
-        "kappa0": 1.0,
-        "kappa1": 0.1,
-        "delta": 0.3,
-        "t_end": 2.0,
-        "jitter": 1e-3,
-    },
-    "e5": {"n": 32, "d": 4, "kappa0": 1.0, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0},
-    "e6": {
-        "n": 16,
-        "d": 4,
-        "kappa0": 1.0,
-        "kappa1": 0.1,
-        "delta": 0.3,
-        "t_end": 50.0,
-        "cluster_spread": 0.2,
-    },
-    "e7": {
-        "n": 32,
-        "d": 4,
-        "kappa0": 1.0,
-        "kappa1": 0.2,
-        "delta": 0.1,
-        "t_end": 10.0,
-        "omega_scale": 1.0,
-    },
+    "e3": {"n": 128, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0},
+    "e4": {"n": 16, "kappa1": 0.1, "delta": 0.3, "t_end": 2.0, "jitter": 1e-3},
+    "e5": {"n": 32, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0},
+    "e6": {"n": 16, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0},
+    "e7": {"n": 32, "kappa1": 0.2, "delta": 0.1, "t_end": 10.0, "omega_scale": 1.0},
 }
 
 EXPERIMENT_IDS = frozenset(DEFAULTS)
@@ -1269,4 +1205,5 @@ def run_experiment(cfg: ExperimentConfig | dict) -> ExperimentReport:
     start = time.perf_counter()
     report = runner(cfg)
     report.wall_clock = time.perf_counter() - start
+    report.experiment, report.config, report.seed = cfg.experiment, cfg.to_dict(), cfg.seed
     return report

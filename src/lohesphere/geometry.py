@@ -5,7 +5,8 @@ Two inner products drive everything here: the Hermitian form
 which coincides with the Euclidean dot product of the interleaved real
 embedding of C^d into R^{2d}.  On top of those sit the tangent/phase
 projections at a unit vector, the coupling map ``q_map`` built from them,
-and the unitary propagator ``exp(Omega t)`` for skew-Hermitian Omega.
+and the unitary propagator family ``t -> exp(Omega t)`` for skew-Hermitian
+Omega.
 
 All functions are pure and operate on plain complex ndarrays.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "project_tangent",
     "project_phase",
     "q_map",
-    "matrix_exp",
     "matrix_exp_family",
 ]
 
@@ -153,20 +153,12 @@ def q_map(z, v, kappa0: float, kappa1: float) -> ComplexVector:
     return kappa0 * (v - vz * z) + kappa1 * (zv - vz) * z
 
 
-def matrix_exp(omega, t: float) -> NDArray[np.complexfloating]:
-    """Unitary propagator ``exp(Omega t)`` for skew-Hermitian Omega.
-
-    Computed through the eigendecomposition of the Hermitian matrix -i Omega,
-    so the result is unitary to machine precision for any t.
-    """
-    return matrix_exp_family(omega)(t)
-
-
 def matrix_exp_family(omega) -> Callable[[float], NDArray[np.complexfloating]]:
-    """One eigendecomposition of Omega, reusable for many times t.
+    """Unitary propagator ``t -> exp(Omega t)`` for skew-Hermitian Omega.
 
-    Returns a callable ``t -> exp(Omega t)``.  Useful when a trajectory needs
-    the propagator on a whole grid of times.
+    One eigendecomposition of the Hermitian matrix -i Omega serves every t,
+    so the result is unitary to machine precision for any t.  Useful when a
+    trajectory needs the propagator on a whole grid of times.
     """
     omega = as_skew_hermitian(omega)
     # Omega = i H with H Hermitian; exp(Omega t) = V diag(exp(i lam t)) V^dagger

@@ -16,7 +16,9 @@ parameter R = ||J||; its square grows at the analytic rate
 whose first summand (without the gains) is the aggregation defect: it
 vanishes exactly when every atom is parallel, in the real-dot sense, to J.
 All integrals over measures are weighted sums over atoms, which is exactly
-how the measure-valued solutions are built in the first place.
+how the measure-valued solutions are built in the first place.  An
+ensemble's centroid, order parameter and R^2 rate are those of its uniform
+measure ``EmpiricalMeasure.uniform(states)``.
 """
 
 from __future__ import annotations
@@ -33,13 +35,9 @@ __all__ = [
     "pair_extremes",
     "functional_F",
     "functional_G",
-    "correlations",
-    "CorrelationData",
-    "centroid",
     "j_vector",
     "order_parameter",
     "r_squared_rate",
-    "centroid_rate",
     "aggregation_defect",
     "dj_dt_norm_bound_check",
     "lp_distance",
@@ -125,47 +123,6 @@ def functional_G(states) -> float:
     return pair_extremes(states)[1]
 
 
-@dataclass
-class CorrelationData:
-    """Two-point correlations h_kl = <z_k, z_l> with their real/imag split.
-
-    j_part = 1 - Re h measures distance from consensus; the worst pair
-    satisfies F = max sqrt(i_part^2 + j_part^2).
-    """
-
-    h: NDArray[np.complexfloating]
-    r_part: NDArray[np.floating]
-    i_part: NDArray[np.floating]
-    j_part: NDArray[np.floating]
-
-    def __post_init__(self) -> None:
-        diag = np.diag(self.h)
-        if np.max(np.abs(diag - 1.0)) > 1e-9:
-            raise ValueError("correlation diagonal must be 1 for unit states")
-        if np.max(np.abs(self.h)) > 1.0 + 1e-12:
-            raise ValueError("correlations of unit states cannot exceed modulus 1")
-
-    def functional_f(self) -> float:
-        """F recovered from the correlation split, ``max sqrt(I^2 + J^2)``."""
-        return float(np.sqrt(np.max(self.i_part**2 + self.j_part**2)))
-
-
-def correlations(states) -> CorrelationData:
-    """All pair correlations of an ensemble: an (N, N) complex Gram, O(N^2) memory."""
-    states = _as_ensemble(states)
-    h = np.conj(states) @ states.T
-    r_part = h.real.copy()
-    return CorrelationData(h=h, r_part=r_part, i_part=h.imag.copy(), j_part=1.0 - r_part)
-
-
-def centroid(states) -> NDArray[np.complexfloating]:
-    """Arithmetic mean state ``(1/N) sum_k z_k``; always ||.|| <= 1 for unit inputs."""
-    states = np.asarray(states, dtype=np.complex128)
-    if states.shape[0] == 0:
-        raise ValueError("centroid of an empty ensemble")
-    return states.mean(axis=0)
-
-
 def j_vector(measure: EmpiricalMeasure) -> NDArray[np.complexfloating]:
     """Weighted first moment ``sum_j w_j z_j`` of an atomic measure."""
     total = float(np.sum(measure.weights))
@@ -192,27 +149,6 @@ def r_squared_rate(measure: EmpiricalMeasure, kappa0: float, kappa1: float) -> f
     defect_term = float(np.sum(w * (j_sq - inner.real**2)))
     phase_term = float(np.sum(w * inner.imag**2))
     return 2.0 * kappa0 * defect_term + 2.0 * (kappa0 + 2.0 * kappa1) * phase_term
-
-
-def centroid_rate(states, kappa0: float, kappa1: float) -> float:
-    """Particle form of the R^2 rate, written against the centroid:
-
-        d||z_c||^2/dt = (2 kappa0 / N) sum_i (||z_c||^2 - (Re <z_i, z_c>)^2)
-                        + (2 (kappa0 + 2 kappa1) / N) sum_i (Im <z_i, z_c>)^2
-
-    Identical to :func:`r_squared_rate` on the uniform measure (the real dot
-    with J is Re<., .> and the phase dot is Im<., .>).
-    """
-    states = np.asarray(states, dtype=np.complex128)
-    if states.shape[0] == 0:
-        raise ValueError("centroid rate of an empty ensemble")
-    n = states.shape[0]
-    zc = states.mean(axis=0)
-    inner = np.conj(states) @ zc
-    zc_sq = float(np.vdot(zc, zc).real)
-    defect_term = float(np.sum(zc_sq - inner.real**2))
-    phase_term = float(np.sum(inner.imag**2))
-    return (2.0 * kappa0 / n) * defect_term + (2.0 * (kappa0 + 2.0 * kappa1) / n) * phase_term
 
 
 def aggregation_defect(measure: EmpiricalMeasure) -> float:

@@ -13,8 +13,6 @@ holds; everything is deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -23,7 +21,6 @@ from .geometry import random_unit_state
 from .observables import functional_F
 
 __all__ = [
-    "AdmissibilityCheck",
     "admissible_threshold",
     "cap_states",
     "admissible_cap_states",
@@ -39,28 +36,6 @@ CAP_SHRINK = 0.7
 
 #: accepted draws must satisfy F0 <= CAP_SAFETY * threshold (strictness margin)
 CAP_SAFETY = 0.98
-
-
-@dataclass(frozen=True)
-class AdmissibilityCheck:
-    """Record of the admissibility condition for one configuration."""
-
-    kappa0: float
-    kappa1: float
-    delta: float
-    f_initial: float
-
-    @property
-    def threshold(self) -> float:
-        return 1.0 - 2.0 * abs(self.kappa1) / self.kappa0 - self.delta
-
-    @property
-    def verdict(self) -> bool:
-        return (
-            abs(self.kappa1) < self.kappa0 / 2.0
-            and self.delta > 0.0
-            and self.f_initial < self.threshold
-        )
 
 
 def admissible_threshold(kappa0: float, kappa1: float, delta: float) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "wasserstein_uniform_nested",
     "wasserstein_general",
     "wasserstein_bruteforce",
-    "xi_distance",
 ]
 
 #: largest support accepted by the exact linear-program solver
@@ -138,29 +137,6 @@ class TransportPlan:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def xi_distance(pair_a, pair_b) -> float:
-    """Phase-space distance ``sqrt(||z - w||^2 + ||Omega - Omega'||_F^2)``.
-
-    Reduces to the plain state distance when the frequency components agree,
-    which is the situation every aligned-regime statement works in.  The
-    Frobenius choice on the frequency component is a convention of this
-    library, not forced by the model.
-    """
-    z_a, om_a = pair_a
-    z_b, om_b = pair_b
-    z_a = np.asarray(z_a, dtype=np.complex128)
-    z_b = np.asarray(z_b, dtype=np.complex128)
-    if z_a.shape != z_b.shape:
-        raise ValueError("state dimensions differ")
-    state_sq = float(np.sum(np.abs(z_a - z_b) ** 2))
-    freq_sq = 0.0
-    if om_a is not None or om_b is not None:
-        om_a = 0.0 if om_a is None else np.asarray(om_a, dtype=np.complex128)
-        om_b = 0.0 if om_b is None else np.asarray(om_b, dtype=np.complex128)
-        freq_sq = float(np.sum(np.abs(om_a - om_b) ** 2))
-    return float(np.sqrt(state_sq + freq_sq))
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[NDArray, str]:

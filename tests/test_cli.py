@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, manifests, byte-reproducibility."""
 
+import csv
 import json
 import re
 
@@ -115,6 +116,15 @@ def test_experiment_inadmissible_delta_exits_2_before_running(tmp_path):
     out = tmp_path / "o"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert not (out / "e1_report.json").exists()
+
+
+def test_non_finite_gain_exits_2(tmp_path, capsys):
+    # e7 builds its coupling gains before any sampler could reject them
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "e7", "kappa0": float("nan")})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_flag_overrides_config(tmp_path):
@@ -285,6 +295,26 @@ def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert [row["passed"] for row in rows] == ["0"]
     assert "config key 'p_values'" in rows[0]["error"]
+
+
+def test_sweep_tuple_axis_rows_match_header(tmp_path):
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e7",
+            "n": 4,
+            "t_end": 0.5,
+            "n_samples": 20,
+            "axis": {"parameter": "p_values", "values": [[1.0, 2.0], [0.5, 2.0]]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [len(header)] * 2
+    assert [row[header.index("p_values")] for row in rows] == ["[1.0, 2.0]", "[0.5, 2.0]"]
+    assert [row[header.index("passed")] for row in rows] == ["1", "0"]
 
 
 def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lohesphere import dynamics
 from lohesphere.dynamics import (
@@ -14,7 +16,7 @@ from lohesphere.dynamics import (
     lt_rhs,
     mean_field_velocity,
 )
-from lohesphere.geometry import hermitian_inner
+from lohesphere.geometry import hermitian_inner, matrix_exp_family
 from lohesphere.integrators import rk4_step
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
 from lohesphere.transport import EmpiricalMeasure
@@ -124,6 +126,59 @@ def test_permutation_equivariance():
     perm = rng.permutation(12)
     permuted = Ensemble(ens.states[perm], ens.frequencies[perm], ens.params)
     np.testing.assert_allclose(lhs_rhs(permuted), lhs_rhs(ens)[perm], atol=1e-13)
+
+
+#: (omega_scale, heterogeneous) of each frequency mode
+FREQUENCY_MODES = {"zero": (0.0, False), "common": (1.0, False), "per_particle": (1.0, True)}
+
+
+@st.composite
+def rhs_cases(draw):
+    """A frequency mode, an ensemble in it with gains of either sign, a block
+    size small enough for rows to cross block edges, and an rng."""
+    mode = draw(st.sampled_from(sorted(FREQUENCY_MODES)))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    params = CouplingParams(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ens = _random_ensemble(rng, n, d, params, *FREQUENCY_MODES[mode])
+    return mode, ens, draw(st.integers(1, 8)), rng
+
+
+def _blocked_rhs(ens, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_ROWS", rows)
+        return lhs_rhs(ens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rhs_cases())
+def test_rhs_permutation_equivariant_across_blocks(case):
+    _, ens, rows, rng = case
+    perm = rng.permutation(ens.n_particles)
+    permuted = Ensemble(ens.states[perm], ens.frequencies[perm], ens.params)
+    np.testing.assert_allclose(
+        _blocked_rhs(permuted, rows), _blocked_rhs(ens, rows)[perm], rtol=0, atol=1e-13
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rhs_cases(), st.floats(-3.0, 3.0))
+def test_rhs_covariant_under_unitaries_commuting_with_omega(case, s):
+    # the coupling is covariant under every common unitary U, the free flow
+    # under those that commute with each Omega_j
+    mode, ens, rows, rng = case
+    d = ens.dim
+    if mode == "zero":
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = np.linalg.qr(g)[0]
+    elif mode == "common":
+        u = matrix_exp_family(ens.frequencies[0])(s)
+    else:
+        u = np.exp(1j * s) * np.eye(d)
+    rotated = Ensemble(ens.states @ u.T, ens.frequencies, ens.params)
+    np.testing.assert_allclose(
+        _blocked_rhs(rotated, rows), _blocked_rhs(ens, rows) @ u.T, rtol=0, atol=1e-13
+    )
 
 
 def test_ls_matches_complex_rhs_on_real_data():

@@ -143,6 +143,13 @@ def test_unknown_key_rejected():
         ("p_values", [0.5]),
         ("n_seeds", 0),
         ("omega_scale", -1.0),
+        ("kappa0", float("nan")),
+        ("t_end", float("inf")),
+        ("dt", float("-inf")),
+        ("horizons", [1.0, float("nan")]),
+        ("p_values", [float("inf")]),
+        ("n", float("inf")),
+        ("n_grid", [16, float("-inf")]),
     ],
 )
 def test_mistyped_value_rejected(key, value):

@@ -1,4 +1,4 @@
-"""Diagnostics: F/G, correlations, moments, rates, defect, dJ/dt bound."""
+"""Diagnostics: F/G pair scan, moments, rates, defect, dJ/dt bound."""
 
 import json
 
@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lohesphere import observables
-from lohesphere.dynamics import CouplingParams, Ensemble
+from lohesphere.dynamics import CouplingParams, Ensemble, lhs_rhs
 from lohesphere.experiments import fd_r_squared_rate
 from lohesphere.integrators import IntegratorConfig, integrate
 from lohesphere.observables import (
     ObservableSeries,
     aggregation_defect,
-    centroid,
-    centroid_rate,
-    correlations,
     dj_dt_norm_bound_check,
     functional_F,
     functional_G,
@@ -160,22 +157,24 @@ def test_pair_scan_is_exact_above_4096_atoms():
 
 def test_correlations_identity_at_consensus():
     states = np.tile(E1, (3, 1))
-    corr = correlations(states)
-    np.testing.assert_allclose(corr.h, np.ones((3, 3)))
-    np.testing.assert_allclose(corr.i_part, np.zeros((3, 3)))
-    np.testing.assert_allclose(corr.j_part, np.zeros((3, 3)))
+    assert pair_extremes(states) == (0.0, 0.0)
 
 
 def test_correlations_hermitian_symmetry_and_f():
     rng = np.random.default_rng(1)
     for _ in range(20):
         states = random_sphere_states(rng, 8, 4)
-        corr = correlations(states)
-        np.testing.assert_allclose(corr.h, corr.h.conj().T, atol=1e-14)
-        assert corr.functional_f() == pytest.approx(functional_F(states), abs=1e-13)
+        h = np.conj(states) @ states.T
+        np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
+        # F from the split h = R + i I with J = 1 - R: max sqrt(I^2 + J^2)
+        f_split = float(np.sqrt(np.max(h.imag**2 + (1.0 - h.real) ** 2)))
+        assert f_split == pytest.approx(functional_F(states), abs=1e-13)
 
 
 def test_centroid_examples():
+    def centroid(states):
+        return j_vector(EmpiricalMeasure.uniform(states))
+
     states = np.tile(E1, (3, 1))
     np.testing.assert_allclose(centroid(states), E1)
     np.testing.assert_allclose(centroid(np.stack([E1, -E1])), np.zeros(2), atol=1e-16)
@@ -228,12 +227,15 @@ def test_r_squared_rate_matches_finite_difference():
 
 
 def test_centroid_rate_equals_measure_rate():
+    # d||z_c||^2/dt = 2 Re <z_c, dz_c/dt>, and dz_c/dt is the mean particle velocity
     rng = np.random.default_rng(4)
     for _ in range(100):
         states = random_sphere_states(rng, int(rng.integers(2, 16)), 3)
         k0, k1 = rng.standard_normal(2)
         measure_rate = r_squared_rate(EmpiricalMeasure.uniform(states), k0, k1)
-        particle_rate = centroid_rate(states, k0, k1)
+        ens = Ensemble.zero_frequency(states, CouplingParams(k0, k1))
+        zc = states.mean(axis=0)
+        particle_rate = 2.0 * np.vdot(zc, lhs_rhs(ens).mean(axis=0)).real
         assert abs(measure_rate - particle_rate) <= 1e-12
 
 
@@ -243,7 +245,7 @@ def test_centroid_rate_matches_finite_difference():
     k0, k1 = 1.0, -0.1
     ens = Ensemble.zero_frequency(states, CouplingParams(k0, k1))
     fd = fd_r_squared_rate(ens)
-    assert abs(centroid_rate(states, k0, k1) - fd) <= 1e-5 * abs(fd)
+    assert abs(r_squared_rate(EmpiricalMeasure.uniform(states), k0, k1) - fd) <= 1e-5 * abs(fd)
 
 
 def test_aggregation_defect_examples():

@@ -5,7 +5,6 @@ import pytest
 
 from lohesphere.observables import functional_F
 from lohesphere.sampling import (
-    AdmissibilityCheck,
     admissible_threshold,
     random_frequencies,
     random_skew_hermitian,
@@ -28,16 +27,15 @@ def test_sampled_ensembles_pass_admissibility_check():
     for seed in range(100):
         kappa0, kappa1, delta = 1.0, -0.2, 0.1
         ens = sample_admissible(8, 3, kappa0, kappa1, delta, seed=seed)
-        check = AdmissibilityCheck(
-            kappa0=kappa0, kappa1=kappa1, delta=delta, f_initial=functional_F(ens.states)
-        )
-        assert check.verdict
+        assert functional_F(ens.states) < admissible_threshold(kappa0, kappa1, delta)
 
 
 def test_admissibility_check_rejects_violations():
-    assert not AdmissibilityCheck(1.0, 0.6, 0.1, 0.0).verdict      # |kappa1| >= kappa0/2
-    assert not AdmissibilityCheck(1.0, 0.0, -0.1, 0.5).verdict     # delta <= 0
-    assert not AdmissibilityCheck(1.0, 0.0, 0.5, 0.6).verdict      # F0 too large
+    with pytest.raises(ValueError):
+        admissible_threshold(1.0, 0.6, 0.1)      # |kappa1| >= kappa0/2
+    with pytest.raises(ValueError):
+        admissible_threshold(1.0, 0.0, -0.1)     # delta <= 0
+    assert 0.6 > admissible_threshold(1.0, 0.0, 0.5)      # F0 too large
 
 
 def test_deterministic_given_seed():
