@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import SKEW_TOL, UNIT_TOL
+from .geometry import SKEW_TOL, UNIT_TOL, row_norms, row_sum
 
 __all__ = [
     "CouplingParams",
@@ -77,7 +77,7 @@ class Ensemble:
         if states.ndim != 2:
             raise ValueError(f"states must have shape (N, d), got {states.shape}")
         n, d = states.shape
-        norms = np.linalg.norm(states, axis=1)
+        norms = row_norms(states)
         if not np.all(np.isfinite(norms)) or np.max(np.abs(norms - 1.0)) > UNIT_TOL:
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"ensemble states must be unit norm, worst drift {worst:g}")
@@ -181,8 +181,8 @@ def _coupling_into(
     # Both reductions share one multiply-then-sum path so that the
     # self-coupling bracket cancels exactly when z_c coincides bitwise with a
     # state (consensus and N = 1 are exact equilibria, not 1e-16 ones).
-    inner_cj = np.multiply(states, np.conj(zc), out=scratch).sum(axis=1)      # <z_c, z_j>
-    norm_sq = np.multiply(states, np.conj(states), out=scratch).sum(axis=1).real
+    inner_cj = row_sum(np.multiply(states, np.conj(zc), out=scratch))      # <z_c, z_j>
+    norm_sq = row_sum(np.multiply(states, np.conj(states), out=scratch)).real
     kappa0, kappa1 = params.kappa0, params.kappa1
     np.multiply(norm_sq[:, None], zc, out=out)
     out -= np.multiply(inner_cj[:, None], states, out=scratch)
@@ -287,7 +287,7 @@ class TensorEnsemble:
             raise ValueError(f"tensor size {size} exceeds supported maximum {self.MAX_SIZE}")
 
         n = tensors.shape[0]
-        norms = np.linalg.norm(tensors.reshape(n, -1), axis=1)
+        norms = row_norms(tensors.reshape(n, -1))
         if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
             raise ValueError("tensors must have unit Frobenius norm")
 

@@ -41,7 +41,15 @@ __all__ = [
     "project_phase",
     "q_map",
     "matrix_exp_family",
+    "row_sum",
+    "row_norms",
 ]
+
+#: floats numpy's pairwise sum adds in one unrolled block; longer rows recurse
+_PAIRWISE_BLOCK = 128
+
+#: below this many rows numpy's one reduction call costs less than column adds
+_COLUMN_SUM_MIN_ROWS = 256
 
 
 def _as_complex(z) -> ComplexVector:
@@ -169,3 +177,54 @@ def matrix_exp_family(omega) -> Callable[[float], NDArray[np.complexfloating]]:
         return (vecs * phases) @ vecs.conj().T
 
     return propagator
+
+
+def row_sum(m: NDArray) -> NDArray:
+    """Sum over the last axis into a new array, bit for bit ``m.sum(axis=-1)``.
+
+    numpy sums each row with one call of its pairwise-sum kernel, which is
+    most of the cost of short rows; this adds whole columns in the kernel's
+    order instead.  The kernel sees a complex entry as 2 floats: a row of
+    fewer than 8 floats is added left to right, a longer one goes into 8
+    float lanes (4 complex or 8 real column lanes) that combine pairwise,
+    ``(l0 + l1) + (l2 + l3)`` for 4, and the remaining columns are added one
+    by one.  Fewer than ``_COLUMN_SUM_MIN_ROWS`` rows, where one numpy call
+    is cheaper, and rows longer than one kernel block go to numpy's
+    reduction itself.  Like numpy's, every sum starts from +0.0, so a row of
+    -0.0 sums to +0.0.
+    ``test_row_sum_and_row_norms_are_numpy_bits`` pins the order, so a numpy
+    release that changes it fails there instead of changing results.
+    """
+    d = m.shape[-1]
+    width = 2 if m.dtype.kind == "c" else 1          # floats per entry
+    if d == 0 or d * width > _PAIRWISE_BLOCK or m.size < _COLUMN_SUM_MIN_ROWS * d:
+        return np.add.reduce(m, axis=-1)
+    lanes = 8 // width
+    if d < lanes:
+        total = m[..., 0] + 0.0               # numpy's sum starts from +0.0
+        for k in range(1, d):
+            total += m[..., k]
+        return total
+    full = d - d % lanes
+    acc = m[..., :lanes]
+    if full > lanes:
+        acc = acc + m[..., lanes : 2 * lanes]
+        for k in range(2 * lanes, full, lanes):
+            acc += m[..., k : k + lanes]
+    while acc.shape[-1] > 2:
+        acc = acc[..., 0::2] + acc[..., 1::2]
+    total = acc[..., 0] + acc[..., 1]
+    total += 0.0                              # adding +0.0 first or last is the same
+    for k in range(full, d):
+        total += m[..., k]
+    return total
+
+
+def row_norms(x: NDArray) -> NDArray[np.floating]:
+    """Euclidean norm of every row (last axis), bit for bit ``np.linalg.norm(x, axis=-1)``.
+
+    numpy's norm is ``sqrt`` of the row sums of ``(conj(x) * x).real``; the
+    sums go through :func:`row_sum`.  ``x.real**2 + x.imag**2`` is not the
+    same bits, because the complex product rounds differently.
+    """
+    return np.sqrt(row_sum((np.conj(x) * x).real))

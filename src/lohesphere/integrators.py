@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import CouplingParams, Ensemble, lhs_rhs
-from .geometry import matrix_exp_family
+from .geometry import matrix_exp_family, row_norms
 from .observables import ObservableSeries
 
 __all__ = [
@@ -69,7 +69,9 @@ class Trajectory:
 
     Frequencies are constant in time, so only states are stored per snapshot;
     the frequency array and coupling params ride along once for downstream
-    consumers (observables, the splitting transform).
+    consumers (observables, the splitting transform).  ``integrate`` puts
+    its run counts into metadata: ``steps``, ``rhs_evals`` and
+    ``max_norm_drift``, the worst norm drift before a renormalization.
     """
 
     times: NDArray[np.floating]
@@ -90,25 +92,44 @@ class Trajectory:
 
 
 def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """One classical 4th-order step of dy/dt = rhs(y); local error O(dt^5)."""
+    """One classical 4th-order step of dy/dt = rhs(y); local error O(dt^5).
+
+    Bit for bit ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` with the stage
+    inputs ``y + (dt/2) k1`` and so on, evaluated in place: the result is
+    the array that the second ``rhs`` call returned, and the stage slopes
+    are overwritten, so ``rhs`` must return a new array on every call.
+    ``y`` is never written.
+    """
     k1 = rhs(y)
-    k2 = rhs(y + (0.5 * dt) * k1)
-    k3 = rhs(y + (0.5 * dt) * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(k1, 0.5 * dt)
+    stage += y
+    k2 = rhs(stage)
+    np.multiply(k2, 0.5 * dt, out=stage)
+    stage += y
+    k3 = rhs(stage)
+    np.multiply(k3, dt, out=stage)
+    stage += y
+    k4 = rhs(stage)
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
-def _renormalize(
-    states: NDArray[np.complexfloating], tol: float, step: int, t: float
-) -> NDArray[np.complexfloating]:
-    """Project every state back onto the sphere after checking its norm drift.
+def _renormalize(states: NDArray[np.complexfloating], tol: float, step: int, t: float) -> float:
+    """Project every state back onto the sphere, in place, after checking its norm drift.
 
     The row norms are computed once and serve both the check and the
     projection; the offending particle's index is looked up only on failure.
+    Returns the worst drift ``max_j | ||z_j|| - 1 |`` before the projection.
     """
-    norms = np.linalg.norm(states, axis=1)
+    norms = row_norms(states)
     gaps = np.abs(norms - 1.0)
-    drift = float(np.max(gaps))
+    drift = float(np.maximum.reduce(gaps))
     if not math.isfinite(drift):
         worst = int(np.argmin(np.isfinite(norms)))
         raise IntegrationError(f"non-finite state at step {step} (t = {t:g}, particle {worst})")
@@ -118,7 +139,8 @@ def _renormalize(
             f"norm drift {drift:g} exceeds tolerance {tol:g} "
             f"at step {step} (t = {t:g}, particle {worst})"
         )
-    return states / norms[:, None]
+    states /= norms[:, None]
+    return drift
 
 
 def integrate(
@@ -135,38 +157,51 @@ def integrate(
     observers = dict(observers or {})
     n_steps = cfg.n_steps
     states = ens.states.copy()
-    rhs_ens = ens.replace_states(states)
+    rhs_ens = ens.replace_states(states)     # private: its states are swapped per call
+    rhs_evals = 0
 
     def rhs(x):
-        return lhs_rhs(rhs_ens.replace_states(x))
+        nonlocal rhs_evals
+        rhs_evals += 1
+        rhs_ens.states = x
+        return lhs_rhs(rhs_ens)
 
-    times: list[float] = []
-    snaps: list[np.ndarray] = []
+    # t = 0, every record_every-th step and the last step
+    n_records = 1 + -(-n_steps // cfg.record_every)
+    times = np.empty(n_records)
+    snapshots = np.empty((n_records, *states.shape), dtype=states.dtype)
     columns: dict[str, list[float]] = {name: [] for name in observers}
+    n_recorded = 0
 
     def record(step: int) -> None:
+        nonlocal n_recorded
         t = step * cfg.dt
-        times.append(t)
-        snaps.append(states.copy())
+        times[n_recorded] = t
+        snapshots[n_recorded] = states
+        n_recorded += 1
         for name, fn in observers.items():
             columns[name].append(float(fn(t, states)))
 
     record(0)
+    max_drift = 0.0
     for step in range(1, n_steps + 1):
+        # a new states array every step: observers match states by identity
         states = rk4_step(states, cfg.dt, rhs)
-        states = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
+        drift = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
+        max_drift = max(max_drift, drift)
         if step % cfg.record_every == 0 or step == n_steps:
             record(step)
 
     traj = Trajectory(
-        times=np.asarray(times),
-        snapshots=np.asarray(snaps),
+        times=times,
+        snapshots=snapshots,
         frequencies=ens.frequencies,
         params=ens.params,
         homogeneous=ens.homogeneous,
+        metadata={"steps": n_steps, "rhs_evals": rhs_evals, "max_norm_drift": max_drift},
     )
     series = ObservableSeries(
-        times=np.asarray(times),
+        times=times.copy(),
         series={name: np.asarray(vals) for name, vals in columns.items()},
         metadata={
             "kappa0": ens.params.kappa0,

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .dynamics import CouplingParams, Ensemble
-from .geometry import random_unit_state
+from .geometry import random_unit_state, row_norms
 from .observables import functional_F
 
 __all__ = [
@@ -53,7 +53,7 @@ def admissible_threshold(kappa0: float, kappa1: float, delta: float) -> float:
 def random_sphere_states(rng: np.random.Generator, n: int, d: int) -> NDArray:
     """n independent uniform points on the unit sphere of C^d."""
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=1)[:, None]
+    return z / row_norms(z)[:, None]
 
 
 def cap_states(
@@ -62,14 +62,14 @@ def cap_states(
     """n states in the spherical cap ``normalize(center + radius * noise)``."""
     noise = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     raw = center[None, :] + radius * noise
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
+    return raw / row_norms(raw)[:, None]
 
 
 def jitter_states(rng: np.random.Generator, states: NDArray, scale: float) -> NDArray:
     """Perturb states by a scaled complex Gaussian and renormalize."""
     noise = rng.standard_normal(states.shape) + 1j * rng.standard_normal(states.shape)
     raw = states + scale * noise
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
+    return raw / row_norms(raw)[:, None]
 
 
 def admissible_cap_states(

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .geometry import UNIT_TOL
+from .geometry import UNIT_TOL, row_norms
 
 __all__ = [
     "EmpiricalMeasure",
@@ -64,7 +64,7 @@ class EmpiricalMeasure:
         if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ValueError("atoms must form a nonempty (N, d) array")
         n = self.atoms.shape[0]
-        norms = np.linalg.norm(self.atoms, axis=1)
+        norms = row_norms(self.atoms)
         if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
             raise ValueError("measure atoms must be unit norm")
         if self.weights is None:

@@ -194,6 +194,28 @@ def test_ls_matches_complex_rhs_on_real_data():
     assert np.max(np.abs(full.imag)) < 1e-13
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(FREQUENCY_MODES)),
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_ls_matches_lhs_on_real_states_and_frequencies(mode, n, d, kappa0, kappa1, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    omega_scale, heterogeneous = FREQUENCY_MODES[mode]
+    g = omega_scale * rng.standard_normal((n, d, d) if heterogeneous else (d, d))
+    omegas = 0.5 * (g - np.swapaxes(g, -1, -2))
+    ens = Ensemble(x.astype(complex), omegas.astype(complex), CouplingParams(kappa0, kappa1))
+    full = lhs_rhs(ens)
+    np.testing.assert_allclose(ls_rhs(ens), full.real, rtol=0, atol=1e-13)
+    assert np.max(np.abs(full.imag)) <= 1e-13
+
+
 def test_ls_consensus_is_equilibrium():
     x = np.tile(np.array([0.5, 0.5, 0.5, 0.5]), (6, 1)).astype(complex)
     ens = Ensemble.zero_frequency(x, PARAMS)

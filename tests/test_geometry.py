@@ -14,6 +14,8 @@ from lohesphere.geometry import (
     q_map,
     random_unit_state,
     real_dot,
+    row_norms,
+    row_sum,
     unembed,
 )
 
@@ -268,3 +270,24 @@ def test_as_skew_hermitian_accepts_valid():
     rng = np.random.default_rng(16)
     omega = _random_skew(rng, 3)
     np.testing.assert_array_equal(as_skew_hermitian(omega), omega)
+
+
+@pytest.mark.parametrize("d", [*range(1, 10), 17, 65, 130])
+def test_row_sum_and_row_norms_are_numpy_bits(d):
+    # the column order mirrors numpy's pairwise-sum kernel; if a numpy
+    # release changes that order, this fails instead of results drifting
+    rng = np.random.default_rng(d)
+    # few rows go to numpy's own reduction, many to the column adds
+    for n in (1, 255, 256, 257, 2999, *rng.integers(1, 3000, 5)):
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (n, d))
+        x = scale * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+        x[0] = complex(-0.0, -0.0)              # numpy sums it to +0.0
+        for m in (x, x.real, (np.conj(x) * x).real, x.reshape(1, n, d)):
+            _assert_same_bits(row_sum(m), m.sum(axis=-1))
+        for m in (x, x.real):
+            _assert_same_bits(row_norms(m), np.linalg.norm(m, axis=-1))
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lohesphere.dynamics import CouplingParams, Ensemble, lhs_rhs
+from lohesphere.dynamics import BLOCK_ROWS, CouplingParams, Ensemble, lhs_rhs
 from lohesphere.geometry import matrix_exp_family
 from lohesphere.integrators import (
     IntegrationError,
@@ -194,3 +196,96 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=-1.0)
+
+
+def _reference_rhs(ens, states):
+    """The unfused right-hand side: whole-array ``.sum(axis=1)`` row reductions."""
+    zc = np.add.reduce(states, axis=0) / states.shape[0]
+    inner_cj = (states * np.conj(zc)).sum(axis=1)
+    norm_sq = (states * np.conj(states)).sum(axis=1).real
+    out = ens.params.kappa0 * (norm_sq[:, None] * zc - inner_cj[:, None] * states)
+    if ens.params.kappa1 != 0.0:
+        out += (ens.params.kappa1 * (-2j * inner_cj.imag))[:, None] * states
+    if ens._omega_zero:
+        return out
+    if ens.homogeneous:
+        return out + np.einsum("jb,ab->ja", states, ens.frequencies[0])
+    return out + np.einsum("jab,jb->ja", ens.frequencies, states)
+
+
+def _reference_step(ens, y, dt):
+    """The unfused RK4 expression followed by np.linalg.norm renormalization."""
+    k1 = _reference_rhs(ens, y)
+    k2 = _reference_rhs(ens, y + (0.5 * dt) * k1)
+    k3 = _reference_rhs(ens, y + (0.5 * dt) * k2)
+    k4 = _reference_rhs(ens, y + dt * k3)
+    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y / np.linalg.norm(y, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("omega_scale, heterogeneous", [(0.0, False), (0.7, False), (0.7, True)])
+def test_integrate_is_bitwise_the_unfused_step(omega_scale, heterogeneous):
+    # rows beyond BLOCK_ROWS cross a block edge; 5 steps recorded every 2nd
+    # also record the last step
+    rng = np.random.default_rng(17)
+    n, d, dt = BLOCK_ROWS + 37, 4, 1e-2
+    states = random_sphere_states(rng, n, d)
+    if heterogeneous:
+        freqs = np.stack([random_skew_hermitian(rng, d, omega_scale) for _ in range(n)])
+    else:
+        freqs = random_skew_hermitian(rng, d, omega_scale)
+    ens = Ensemble(states, freqs, CouplingParams(1.0, -0.3))
+    traj, _ = integrate(ens, IntegratorConfig(t_end=5 * dt, dt=dt, record_every=2))
+    expected, y = [states], states
+    for step in range(1, 6):
+        y = _reference_step(ens, y, dt)
+        if step % 2 == 0 or step == 5:
+            expected.append(y)
+    assert traj.snapshots.shape == (4, n, d)
+    for got, want in zip(traj.snapshots, expected):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # signed zeros too
+
+
+def test_rk4_step_leaves_its_input_unchanged():
+    rng = np.random.default_rng(18)
+    ens = Ensemble.with_common_frequency(
+        random_sphere_states(rng, 9, 3), random_skew_hermitian(rng, 3, 1.0), PARAMS
+    )
+    y = ens.states.copy()
+    stepped = rk4_step(ens.states, 1e-2, lambda s: lhs_rhs(ens.replace_states(s)))
+    assert np.array_equal(ens.states, y)
+    assert stepped is not ens.states
+
+
+def test_run_counts_in_trajectory_metadata():
+    rng = np.random.default_rng(19)
+    ens = Ensemble.zero_frequency(random_sphere_states(rng, 6, 3), PARAMS)
+    cfg = IntegratorConfig(t_end=0.07, dt=1e-2, record_every=3)
+    traj, _ = integrate(ens, cfg)
+    meta = traj.metadata
+    assert (meta["steps"], meta["rhs_evals"]) == (7, 28)
+    assert 0.0 < meta["max_norm_drift"] <= cfg.unit_drift_tol
+    still, _ = integrate(ens, IntegratorConfig(t_end=0.0))
+    assert still.metadata == {"steps": 0, "rhs_evals": 0, "max_norm_drift": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(0.0, False), (1.0, False), (1.0, True)]),
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_integrate_keeps_every_snapshot_row_on_the_sphere(mode, n, d, kappa0, kappa1, seed):
+    omega_scale, heterogeneous = mode
+    rng = np.random.default_rng(seed)
+    states = random_sphere_states(rng, n, d)
+    if heterogeneous:
+        freqs = np.stack([random_skew_hermitian(rng, d, omega_scale) for _ in range(n)])
+    else:
+        freqs = random_skew_hermitian(rng, d, omega_scale)
+    ens = Ensemble(states, freqs, CouplingParams(kappa0, kappa1))
+    traj, _ = integrate(ens, IntegratorConfig(t_end=0.1, dt=1e-2, record_every=3))
+    assert np.max(np.abs(np.linalg.norm(traj.snapshots, axis=2) - 1.0)) <= 1e-12
