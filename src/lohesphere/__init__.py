@@ -1,8 +1,8 @@
 """Aggregation dynamics of unit vectors in C^d and their mean-field diagnostics.
 
 A numpy/scipy laboratory for the centroid-coupled aggregation model on the
-complex unit sphere: structure-preserving integration, order-parameter and
-correlation diagnostics, exact Wasserstein distances between empirical
+complex unit sphere: structure-preserving integration, order-parameter
+diagnostics, exact Wasserstein distances between empirical
 measures, and seven verification experiments with quantitative pass/fail
 bounds.
 """
@@ -19,16 +19,7 @@ from .dynamics import (
     lt_rhs,
     mean_field_velocity,
 )
-from .geometry import (
-    embed,
-    hermitian_inner,
-    matrix_exp_family,
-    project_phase,
-    project_tangent,
-    q_map,
-    real_dot,
-    unembed,
-)
+from .geometry import matrix_exp_family
 from .integrators import (
     IntegratorConfig,
     IntegrationError,
@@ -75,14 +66,7 @@ __all__ = [
     "ls_rhs",
     "lt_rhs",
     "mean_field_velocity",
-    "embed",
-    "hermitian_inner",
     "matrix_exp_family",
-    "project_phase",
-    "project_tangent",
-    "q_map",
-    "real_dot",
-    "unembed",
     "IntegratorConfig",
     "IntegrationError",
     "Trajectory",

@@ -131,7 +131,6 @@ def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
         observers[f"j_re_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].real)
         observers[f"j_im_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].imag)
     _, series = integrate(ens, _integrator_config(cfg), observers)
-    series.metadata["seed"] = cfg.seed
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "simulate_observables.csv"

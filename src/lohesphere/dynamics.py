@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import SKEW_TOL, UNIT_TOL, row_norms, row_sum
+from .geometry import as_skew_hermitian, check_unit_rows, row_sum
 
 __all__ = [
     "CouplingParams",
@@ -77,31 +77,26 @@ class Ensemble:
         if states.ndim != 2:
             raise ValueError(f"states must have shape (N, d), got {states.shape}")
         n, d = states.shape
-        norms = row_norms(states)
-        if not np.all(np.isfinite(norms)) or np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-            worst = float(np.max(np.abs(norms - 1.0)))
-            raise ValueError(f"ensemble states must be unit norm, worst drift {worst:g}")
+        check_unit_rows(states, "ensemble states")
 
         frequencies = np.array(frequencies, dtype=np.complex128)
-        if frequencies.shape == (d, d):
-            frequencies = np.broadcast_to(frequencies, (n, d, d)).copy()
-        if frequencies.shape != (n, d, d):
+        if frequencies.shape not in ((d, d), (n, d, d)):
             raise ValueError(
                 f"frequencies must have shape (d, d) or (N, d, d), got {frequencies.shape}"
             )
-        skew_defect = np.linalg.norm(
-            frequencies + np.conj(np.swapaxes(frequencies, 1, 2)), axis=(1, 2)
-        )
-        scale = np.maximum(1.0, np.linalg.norm(frequencies, axis=(1, 2)))
-        if np.any(skew_defect > SKEW_TOL * scale):
-            raise ValueError("ensemble frequencies must be skew-Hermitian")
+        as_skew_hermitian(frequencies)
+        self._omega_zero = bool(np.max(np.abs(frequencies)) == 0.0)
+        if frequencies.ndim == 2:
+            # one common matrix, checked before it is copied to every particle
+            self.homogeneous = True
+            frequencies = np.broadcast_to(frequencies, (n, d, d)).copy()
+        else:
+            spread = np.linalg.norm(frequencies - frequencies[0], axis=(1, 2))
+            self.homogeneous = bool(np.max(spread) <= HOMOGENEOUS_TOL)
 
         self.states = states
         self.frequencies = frequencies
         self.params = params
-        spread = np.linalg.norm(frequencies - frequencies[0], axis=(1, 2))
-        self.homogeneous = bool(np.max(spread) <= HOMOGENEOUS_TOL)
-        self._omega_zero = bool(np.max(np.abs(frequencies)) == 0.0)
 
     @classmethod
     def with_common_frequency(cls, states, omega, params: CouplingParams) -> "Ensemble":
@@ -287,9 +282,7 @@ class TensorEnsemble:
             raise ValueError(f"tensor size {size} exceeds supported maximum {self.MAX_SIZE}")
 
         n = tensors.shape[0]
-        norms = row_norms(tensors.reshape(n, -1))
-        if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-            raise ValueError("tensors must have unit Frobenius norm")
+        check_unit_rows(tensors.reshape(n, -1), "tensors")
 
         frequency_tensors = np.array(frequency_tensors, dtype=np.complex128)
         if frequency_tensors.shape != (n, *self.shape, *self.shape):
@@ -297,11 +290,7 @@ class TensorEnsemble:
                 "frequency tensors must have shape (N, d1..dm, d1..dm), got "
                 f"{frequency_tensors.shape}"
             )
-        flat = frequency_tensors.reshape(n, size, size)
-        defect = np.linalg.norm(flat + np.conj(np.swapaxes(flat, 1, 2)), axis=(1, 2))
-        scale = np.maximum(1.0, np.linalg.norm(flat, axis=(1, 2)))
-        if np.any(defect > SKEW_TOL * scale):
-            raise ValueError("frequency tensors must satisfy conj(A)[b,g] = -A[g,b]")
+        as_skew_hermitian(frequency_tensors.reshape(n, size, size))
 
         patterns = {tuple(int(b) for b in key) for key in couplings}
         expected = {tuple(bits) for bits in np.ndindex(*(2,) * self.rank)}

@@ -236,26 +236,22 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_le(name, observed, limit, tolerance, gating=True, detail="") -> CheckResult:
+def _check(
+    name, observed, limit, tolerance, comparator="<=", gating=True, detail=""
+) -> CheckResult:
+    """Bound ``observed <= limit + tolerance``, or ``>= limit - tolerance`` for ``">="``."""
+    if comparator == "<=":
+        passed = observed <= limit + tolerance
+    elif comparator == ">=":
+        passed = observed >= limit - tolerance
+    else:
+        raise ValueError(f"unknown comparator {comparator!r}")
     return CheckResult(
         name=name,
-        passed=bool(observed <= limit + tolerance),
+        passed=bool(passed),
         observed=float(observed),
         limit=float(limit),
-        comparator="<=",
-        tolerance=float(tolerance),
-        gating=gating,
-        detail=detail,
-    )
-
-
-def _check_ge(name, observed, limit, tolerance, gating=True, detail="") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(observed >= limit - tolerance),
-        observed=float(observed),
-        limit=float(limit),
-        comparator=">=",
+        comparator=comparator,
         tolerance=float(tolerance),
         gating=gating,
         detail=detail,
@@ -353,7 +349,7 @@ def standard_observers(params: CouplingParams, with_dj: bool) -> dict:
 def pair_inequality_check(series: ObservableSeries, tolerance: float = 1e-12) -> CheckResult:
     """G <= 2 sqrt(F) at every recorded time."""
     gap = np.max(series.column("G") - 2.0 * np.sqrt(np.maximum(series.column("F"), 0.0)))
-    return _check_le(
+    return _check(
         "pair_inequality",
         gap,
         0.0,
@@ -397,7 +393,7 @@ def _saturation_check(
     1.05 times its sup over t <= t_mid.  Returns the check and both sups."""
     sup_mid = float(np.max(ratio[times <= t_mid + 1e-12]))
     sup_long = float(np.max(ratio))
-    return _check_le(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
+    return _check(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
 
 
 def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
@@ -443,14 +439,14 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
     g_bound = 2.0 * math.sqrt(f0) * np.exp(-0.5 * rate * times)
 
     checks = [
-        _check_le(
+        _check(
             "F_exponential_bound",
             np.max(f_vals - f_bound),
             0.0,
             1e-12,
             detail=f"max_t F(t) - F0 exp(-{rate:g} t); first violation would be reported",
         ),
-        _check_le(
+        _check(
             "G_exponential_bound",
             np.max(g_vals - g_bound),
             0.0,
@@ -470,7 +466,7 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
         f_mid = f_vals[1:-1]
         rhs = -2.0 * cfg.kappa0 * (1.0 - f_mid - ratio) * f_mid + 1e-3 * (1.0 + np.abs(fdot))
         checks.append(
-            _check_le(
+            _check(
                 "f_differential_inequality",
                 np.max(fdot - rhs),
                 0.0,
@@ -481,11 +477,12 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
 
     fitted = fit_decay_rate(times, f_vals)
     checks.append(
-        _check_ge(
+        _check(
             "fitted_decay_rate",
             fitted,
             rate,
             0.0,
+            comparator=">=",
             gating=False,
             detail="least-squares exponent of F vs the guaranteed rate (report-only)",
         )
@@ -562,7 +559,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
             refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
 
     checks = [
-        _check_le(
+        _check(
             f"lp_bound_T{horizon:g}_p{p:g}",
             worst[(horizon, p)],
             1.0,
@@ -577,7 +574,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         for p in cfg.p_values
     ]
     checks.append(
-        _check_le(
+        _check(
             "grid_density_cross_check",
             refined_delta,
             0.01,
@@ -594,7 +591,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     ens_b = Ensemble.zero_frequency(states.copy(), params)
     _, dists = _pair_tracks(ens_a, ens_b, icfg, (2.0,), lp_distance)
     checks.append(
-        _check_le(
+        _check(
             "identical_data_stay_identical",
             float(np.max(dists[2.0])),
             0.0,
@@ -688,14 +685,14 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     initials_arr = np.asarray(initials)
     fitted_c = float(np.sum(sups_arr * initials_arr) / np.sum(initials_arr**2))
     checks = [
-        _check_le(
+        _check(
             "cauchy_nonincreasing",
             float(np.max(np.diff(sups_arr))) if len(sups_arr) > 1 else 0.0,
             0.0,
             0.0,
             detail="max increase of sup_t W2(mu^N, mu^2N) across consecutive pairs",
         ),
-        _check_le(
+        _check(
             "uniform_bound_fitted_constant",
             float(np.max(sups_arr - fitted_c * initials_arr)),
             0.05,
@@ -714,7 +711,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
         float(np.max(track) - (bound_const * track[0] + 0.05)) for track in het.values()
     )
     checks.append(
-        _check_le(
+        _check(
             "heterogeneous_finite_time",
             het_margin,
             0.0,
@@ -730,7 +727,6 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     series = ObservableSeries(
         times=grid,
         series={f"w2_{small}_{big}": track for (small, big), track in w2.items()},
-        metadata={"kappa0": cfg.kappa0, "kappa1": cfg.kappa1, "seed": cfg.seed},
     )
 
     return ExperimentReport(
@@ -785,7 +781,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
             sup = float(np.max(track[times <= horizon + 1e-12]))
             if track[0] > 1e-12:
                 checks.append(
-                    _check_le(
+                    _check(
                         f"wp_stability_T{horizon:g}_p{p:g}",
                         sup,
                         bound_const * track[0],
@@ -797,7 +793,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
                 # degenerate perturbation (nu0 = mu0): the flow is unique, so
                 # the measures must simply stay together
                 checks.append(
-                    _check_le(
+                    _check(
                         f"wp_stability_T{horizon:g}_p{p:g}",
                         sup,
                         0.0,
@@ -824,7 +820,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
         ratio = w2
         sup_mid = sup_long = float(np.max(w2))
         checks.append(
-            _check_le(
+            _check(
                 "admissible_t_independent_constant",
                 sup_long,
                 0.0,
@@ -836,7 +832,6 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     series = ObservableSeries(
         times=times_l,
         series={"w2_ratio": ratio},
-        metadata={"jitter": cfg.jitter, "seed": cfg.seed},
     )
     return ExperimentReport(
         checks=checks,
@@ -883,14 +878,15 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     dj = series.column("dj_norm")
 
     checks = [
-        _check_ge(
+        _check(
             "r_squared_nondecreasing",
             float(np.min(np.diff(r2))) if len(r2) > 1 else 0.0,
             0.0,
             1e-10,
+            comparator=">=",
             detail="min per-step increment of R^2 over recorded times",
         ),
-        _check_le(
+        _check(
             "dj_dt_bound",
             float(np.max(dj)),
             2.0 * (cfg.kappa0 + cfg.kappa1),
@@ -901,7 +897,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     if admissible_mode:
         checks.append(
-            _check_le(
+            _check(
                 "defect_decay",
                 defect[-1],
                 1e-6 * max(defect[0], 1e-12),
@@ -921,7 +917,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         fd = fd_r_squared_rate(snap_ens, h=1e-3)
         rel_errs.append(abs(analytic - fd) / max(abs(analytic), 1e-12))
     checks.append(
-        _check_le(
+        _check(
             "rate_matches_finite_difference",
             float(np.max(rel_errs)),
             1e-5,
@@ -934,7 +930,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         step = float(np.mean(np.diff(times)))
         second = np.abs(np.diff(r2, 2)) / step**2
         checks.append(
-            _check_le(
+            _check(
                 "r_squared_second_derivative_bounded",
                 float(np.max(second)),
                 math.inf,
@@ -1012,18 +1008,19 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     j_hat = j_final / np.linalg.norm(j_final)
     alignment = float(np.min((np.conj(final) @ j_hat).real))
     checks.append(
-        _check_ge(
+        _check(
             "a_alignment",
             alignment,
             1.0,
             1e-4,
+            comparator=">=",
             detail="min_j z_j . (J/||J||) at t_end (complete aggregation, no antipodal mass)",
         )
     )
     dirac = EmpiricalMeasure.uniform(j_hat[None, :])
     w2_final, _ = wasserstein_general(EmpiricalMeasure.uniform(final), dirac, 2.0)
     checks.append(
-        _check_le(
+        _check(
             "a_dirac_convergence",
             w2_final,
             1e-3,
@@ -1061,28 +1058,28 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     )
     checks.extend(
         [
-            _check_le(
+            _check(
                 "b_antipodal_persistence",
                 antipodal_gap,
                 0.0,
                 1e-8,
                 detail="max_t (1 + x_antipodal . y_hat(t)): the exceptional atom stays put",
             ),
-            _check_le(
+            _check(
                 "b_two_point_limit",
                 two_point,
                 1e-4,
                 0.0,
                 detail="max_j distance of final states to the {y, -y} pair",
             ),
-            _check_le(
+            _check(
                 "b_cluster_aggregation",
                 functional_F(final_b[1:]),
                 1e-6,
                 0.0,
                 detail="worst-pair defect of the cluster at t_end",
             ),
-            _check_le(
+            _check(
                 "b_real_invariance",
                 float(np.max(np.abs(traj_b.snapshots.imag))),
                 0.0,
@@ -1139,14 +1136,14 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
         for name in ("F", "G", "R")
     )
     checks = [
-        _check_le(
+        _check(
             "splitting_max_deviation",
             deviation,
             1e-6,
             0.0,
             detail="max_{t, j} ||z_j(t) - exp(Omega t) w_j(t)||",
         ),
-        _check_le(
+        _check(
             "observable_agreement",
             obs_gap,
             1e-8,

@@ -1,12 +1,11 @@
 """Geometry of the complex unit sphere in C^d.
 
-Two inner products drive everything here: the Hermitian form
-``<w, z> = sum_i conj(w^i) z^i`` and the real dot ``w . z = Re <w, z>``,
-which coincides with the Euclidean dot product of the interleaved real
-embedding of C^d into R^{2d}.  On top of those sit the tangent/phase
-projections at a unit vector, the coupling map ``q_map`` built from them,
-and the unitary propagator family ``t -> exp(Omega t)`` for skew-Hermitian
-Omega.
+The two invariants of the model are checked here, once each: unit-norm
+rows (:func:`check_unit_rows`) and skew-Hermitian frequency matrices
+(:func:`as_skew_hermitian`); both reject non-finite input.  Beside them
+sit uniform sampling on the sphere, the unitary propagator family
+``t -> exp(Omega t)`` for skew-Hermitian Omega, and the row sums and row
+norms that reproduce numpy's bits.
 
 All functions are pure and operate on plain complex ndarrays.
 """
@@ -19,7 +18,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 ComplexVector = NDArray[np.complexfloating]
-RealVector = NDArray[np.floating]
 
 #: tolerance on | ||z|| - 1 | accepted when validating a unit state
 UNIT_TOL = 1e-12
@@ -30,16 +28,9 @@ SKEW_TOL = 1e-12
 __all__ = [
     "UNIT_TOL",
     "SKEW_TOL",
-    "hermitian_inner",
-    "real_dot",
-    "embed",
-    "unembed",
-    "as_unit_state",
+    "check_unit_rows",
     "as_skew_hermitian",
     "random_unit_state",
-    "project_tangent",
-    "project_phase",
-    "q_map",
     "matrix_exp_family",
     "row_sum",
     "row_norms",
@@ -52,68 +43,33 @@ _PAIRWISE_BLOCK = 128
 _COLUMN_SUM_MIN_ROWS = 256
 
 
-def _as_complex(z) -> ComplexVector:
-    return np.asarray(z, dtype=np.complex128)
+def check_unit_rows(x: NDArray, noun: str) -> None:
+    """Raise ``ValueError`` unless every row (last axis) of x has unit norm.
 
-
-def hermitian_inner(w, z) -> complex:
-    """Hermitian inner product ``sum_i conj(w^i) z^i`` (conjugate-linear in w)."""
-    w = _as_complex(w)
-    z = _as_complex(z)
-    if w.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {w.shape} vs {z.shape}")
-    return complex(np.vdot(w, z))
-
-
-def real_dot(w, z) -> float:
-    """Real dot product of w and z, equal to ``embed(w) @ embed(z)``.
-
-    Equals ``Re hermitian_inner(w, z)``: the Hermitian form decomposes as
-    ``<z, w> = z.w - i (z.(i w))``.
+    The worst drift ``max | ||row|| - 1 |`` must be at most ``UNIT_TOL``; a
+    NaN or infinite entry makes it non-finite and fails the same test.
     """
-    return hermitian_inner(w, z).real
+    worst = float(np.max(np.abs(row_norms(x) - 1.0)))
+    if not worst <= UNIT_TOL:
+        raise ValueError(f"{noun} must be unit norm, worst drift {worst:g}")
 
 
-def embed(z) -> RealVector:
-    """Interleaved real embedding ``(Re z^1, Im z^1, ..., Re z^d, Im z^d)``."""
-    z = _as_complex(z)
-    out = np.empty(2 * z.shape[0], dtype=np.float64)
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+def as_skew_hermitian(omega) -> NDArray[np.complexfloating]:
+    """Validate a (..., d, d) stack of skew-Hermitian matrices and return it as complex.
 
-
-def unembed(x) -> ComplexVector:
-    """Inverse of :func:`embed`; rejects odd-length input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] % 2 != 0:
-        raise ValueError(f"real embedding must have even length, got {x.shape[0]}")
-    return x[0::2] + 1j * x[1::2]
-
-
-def as_unit_state(z, tol: float = UNIT_TOL) -> ComplexVector:
-    """Validate that z lies on the unit sphere (within tol) and return it.
-
-    Validation happens once, at construction time; the geometric operations
-    below assume their unit-vector arguments have already passed through here
-    (or are renormalized by the integrator).
+    Every matrix A must be finite and satisfy
+    ``||A + A^dagger||_F <= SKEW_TOL * max(1, ||A||_F)``.
     """
-    z = _as_complex(z)
-    nrm = np.linalg.norm(z)
-    if not np.isfinite(nrm) or abs(nrm - 1.0) > tol:
-        raise ValueError(f"state is not unit norm: ||z|| = {nrm!r}")
-    return z
-
-
-def as_skew_hermitian(omega, tol: float = SKEW_TOL) -> NDArray[np.complexfloating]:
-    """Validate a d x d skew-Hermitian matrix (Omega^dagger = -Omega)."""
     omega = np.asarray(omega, dtype=np.complex128)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
+    if omega.ndim < 2 or omega.shape[-1] != omega.shape[-2]:
         raise ValueError(f"frequency matrix must be square, got shape {omega.shape}")
-    nrm = np.linalg.norm(omega)
-    defect = np.linalg.norm(omega + omega.conj().T)
-    if not np.isfinite(nrm) or defect > tol * max(1.0, nrm):
-        raise ValueError(f"matrix is not skew-Hermitian: ||A + A^dagger||_F = {defect!r}")
+    nrm = np.linalg.norm(omega, axis=(-2, -1))
+    defect = np.linalg.norm(omega + np.conj(np.swapaxes(omega, -2, -1)), axis=(-2, -1))
+    if not (np.all(np.isfinite(nrm)) and np.all(defect <= SKEW_TOL * np.maximum(1.0, nrm))):
+        raise ValueError(
+            "frequency matrices must be finite and skew-Hermitian, "
+            f"worst ||A + A^dagger||_F = {np.max(defect):g}"
+        )
     return omega
 
 
@@ -121,44 +77,6 @@ def random_unit_state(rng: np.random.Generator, d: int) -> ComplexVector:
     """Draw a uniformly distributed point on the unit sphere of C^d."""
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)
-
-
-def _check_unit(z: ComplexVector) -> None:
-    nrm = np.linalg.norm(z)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"projection base point must be unit norm, got ||z|| = {nrm!r}")
-
-
-def project_tangent(z, v) -> ComplexVector:
-    """Projection onto the real-orthogonal complement of unit z: ``v - (z.v) z``."""
-    z = _as_complex(z)
-    v = _as_complex(v)
-    _check_unit(z)
-    return v - real_dot(z, v) * z
-
-
-def project_phase(z, v) -> ComplexVector:
-    """Projection onto the phase direction i z: ``((i z).v) (i z)``."""
-    z = _as_complex(z)
-    v = _as_complex(v)
-    _check_unit(z)
-    iz = 1j * z
-    return real_dot(iz, v) * iz
-
-
-def q_map(z, v, kappa0: float, kappa1: float) -> ComplexVector:
-    """Coupling map ``kappa0 (v - <v,z> z) + kappa1 (<z,v> - <v,z>) z`` at unit z.
-
-    Decomposes as ``kappa0 P_tangent + (kappa0 + 2 kappa1) P_phase``; the two
-    routes agree to 1e-13 and the projection form is kept test-side as the
-    cross-check.
-    """
-    z = _as_complex(z)
-    v = _as_complex(v)
-    _check_unit(z)
-    vz = hermitian_inner(v, z)
-    zv = hermitian_inner(z, v)
-    return kappa0 * (v - vz * z) + kappa1 * (zv - vz) * z
 
 
 def matrix_exp_family(omega) -> Callable[[float], NDArray[np.complexfloating]]:
@@ -169,6 +87,8 @@ def matrix_exp_family(omega) -> Callable[[float], NDArray[np.complexfloating]]:
     trajectory needs the propagator on a whole grid of times.
     """
     omega = as_skew_hermitian(omega)
+    if omega.ndim != 2:
+        raise ValueError(f"propagator needs one (d, d) matrix, got shape {omega.shape}")
     # Omega = i H with H Hermitian; exp(Omega t) = V diag(exp(i lam t)) V^dagger
     lam, vecs = np.linalg.eigh(-1j * omega)
 

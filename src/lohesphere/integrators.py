@@ -203,13 +203,6 @@ def integrate(
     series = ObservableSeries(
         times=times.copy(),
         series={name: np.asarray(vals) for name, vals in columns.items()},
-        metadata={
-            "kappa0": ens.params.kappa0,
-            "kappa1": ens.params.kappa1,
-            "dt": cfg.dt,
-            "n_particles": ens.n_particles,
-            "dim": ens.dim,
-        },
     )
     return traj, series
 
@@ -240,5 +233,4 @@ def split_transform(traj: Trajectory, omega) -> Trajectory:
         frequencies=np.zeros_like(traj.frequencies),
         params=traj.params,
         homogeneous=True,
-        metadata={**traj.metadata, "split_from_omega": True},
     )

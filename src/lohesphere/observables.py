@@ -23,13 +23,12 @@ measure ``EmpiricalMeasure.uniform(states)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .transport import EmpiricalMeasure
+from .transport import EmpiricalMeasure, _check_p
 
 __all__ = [
     "pair_extremes",
@@ -188,8 +187,7 @@ def dj_dt_norm_bound_check(
 
 def lp_distance(states_a, states_b, p: float) -> float:
     """Configuration distance ``(sum_k ||z_k - w_k||^p)^(1/p)``."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = _check_p(p)
     a = np.asarray(states_a, dtype=np.complex128)
     b = np.asarray(states_b, dtype=np.complex128)
     if a.shape != b.shape:
@@ -208,12 +206,10 @@ class ObservableSeries:
 
     CSV layout: header ``time,<name>,...`` in series insertion order, one row
     per recorded time, every value printed with 17 significant digits.
-    JSON layout: ``{"times": [...], "series": {name: [...]}, "metadata": {...}}``.
     """
 
     times: NDArray[np.floating]
     series: dict[str, NDArray[np.floating]] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -232,23 +228,3 @@ class ObservableSeries:
             lines.append(",".join(row))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-    def to_json(self, path) -> None:
-        payload = {
-            "times": [float(t) for t in self.times],
-            "series": {name: [float(v) for v in vals] for name, vals in self.series.items()},
-            "metadata": self.metadata,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_json(cls, path) -> "ObservableSeries":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            times=np.asarray(payload["times"], dtype=float),
-            series={k: np.asarray(v, dtype=float) for k, v in payload["series"].items()},
-            metadata=payload.get("metadata", {}),
-        )

@@ -3,8 +3,8 @@
 Ground cost is the chordal (ambient) norm ||z - w||; measures that carry
 frequency matrices use the product-space cost
 ``sqrt(||z - w||^2 + ||Omega - Omega'||_F^2)`` instead, a documented
-convention flagged in plan metadata (every aligned-regime statement uses a
-common frequency, where the two costs coincide).
+convention (every aligned-regime statement uses a common frequency, where
+the two costs coincide).
 
 Uniform equal-size measures are solved by exact min-cost assignment; the
 general weighted case by the discrete transport linear program (HiGHS dual
@@ -15,7 +15,7 @@ cross-checking the solvers at small N.
 from __future__ import annotations
 
 import itertools
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .geometry import UNIT_TOL, row_norms
+from .geometry import check_unit_rows
 
 __all__ = [
     "EmpiricalMeasure",
@@ -64,9 +64,7 @@ class EmpiricalMeasure:
         if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ValueError("atoms must form a nonempty (N, d) array")
         n = self.atoms.shape[0]
-        norms = row_norms(self.atoms)
-        if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-            raise ValueError("measure atoms must be unit norm")
+        check_unit_rows(self.atoms, "measure atoms")
         if self.weights is None:
             self.weights = np.full(n, 1.0 / n)
         else:
@@ -106,7 +104,6 @@ class TransportPlan:
     source_weights: NDArray[np.floating]
     target_weights: NDArray[np.floating]
     cost_power: float
-    ground_cost: str = "chordal"
 
     MARGINAL_TOL = 1e-10
 
@@ -124,40 +121,24 @@ class TransportPlan:
     def cost(self, cost_matrix: NDArray[np.floating]) -> float:
         return float(np.sum(self.coupling * cost_matrix**self.cost_power))
 
-    def to_json(self, path) -> None:
-        rows, cols = np.nonzero(self.coupling > 0)
-        payload = {
-            "ground_cost": self.ground_cost,
-            "cost_power": self.cost_power,
-            "entries": [
-                {"row": int(r), "col": int(c), "mass": float(self.coupling[r, c])}
-                for r, c in zip(rows, cols)
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
-
-def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> tuple[NDArray, str]:
+def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> NDArray:
     if mu.atoms.shape[1] != nu.atoms.shape[1]:
         raise ValueError("measures live on spheres of different dimension")
     diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
     cost_sq = np.sum(np.abs(diff) ** 2, axis=2)
-    kind = "chordal"
     if mu.frequencies is not None and nu.frequencies is not None:
         fd = mu.frequencies[:, None] - nu.frequencies[None, :]
         cost_sq = cost_sq + np.sum(np.abs(fd) ** 2, axis=tuple(range(2, fd.ndim)))
-        kind = "xi"
     elif (mu.frequencies is None) != (nu.frequencies is None):
         raise ValueError("cannot mix frequency-tagged and plain measures")
-    return np.sqrt(cost_sq), kind
+    return np.sqrt(cost_sq)
 
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if not p >= 1:
-        raise ValueError(f"order p must satisfy p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"order p must be finite and >= 1, got {p}")
     return p
 
 
@@ -198,7 +179,7 @@ def wasserstein_uniform_nested(
     replicated = EmpiricalMeasure.uniform(
         np.repeat(small.atoms, ratio, axis=0), frequencies=rep_freqs
     )
-    cost, _ = _cost_matrix(replicated, big)
+    cost = _cost_matrix(replicated, big)
     rows, cols = linear_sum_assignment(cost**p)
     return float(np.mean(cost[rows, cols] ** p) ** (1.0 / p))
 
@@ -218,7 +199,7 @@ def wasserstein_general(
         raise SupportSizeError(
             f"support size {max(n, m)} exceeds the exact solver limit {MAX_SUPPORT}"
         )
-    cost, kind = _cost_matrix(mu, nu)
+    cost = _cost_matrix(mu, nu)
     objective = (cost**p).ravel()
 
     row_idx = np.repeat(np.arange(n), m)
@@ -242,7 +223,6 @@ def wasserstein_general(
         source_weights=mu.weights,
         target_weights=nu.weights,
         cost_power=p,
-        ground_cost=kind,
     )
     return float(plan.cost(cost) ** (1.0 / p)), plan
 
@@ -255,7 +235,7 @@ def wasserstein_bruteforce(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float 
     n = mu.n_atoms
     if n > 8:
         raise ValueError(f"brute force is limited to N <= 8, got {n}")
-    cost_p = _cost_matrix(mu, nu)[0] ** p
+    cost_p = _cost_matrix(mu, nu) ** p
     rows = np.arange(n)
     best = np.inf
     for perm in itertools.permutations(range(n)):

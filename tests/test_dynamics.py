@@ -16,7 +16,7 @@ from lohesphere.dynamics import (
     lt_rhs,
     mean_field_velocity,
 )
-from lohesphere.geometry import hermitian_inner, matrix_exp_family
+from lohesphere.geometry import matrix_exp_family
 from lohesphere.integrators import rk4_step
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
 from lohesphere.transport import EmpiricalMeasure

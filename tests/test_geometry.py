@@ -1,149 +1,96 @@
-"""Inner products, the real embedding, projections, q_map, matrix_exp_family."""
+"""The two invariant checks, the coupling map Q_z, matrix_exp_family, row sums."""
 
 import numpy as np
 import pytest
 
+from lohesphere.dynamics import CouplingParams, Ensemble, TensorEnsemble, mean_field_velocity
 from lohesphere.geometry import (
     as_skew_hermitian,
-    as_unit_state,
-    embed,
-    hermitian_inner,
+    check_unit_rows,
     matrix_exp_family,
-    project_phase,
-    project_tangent,
-    q_map,
     random_unit_state,
-    real_dot,
     row_norms,
     row_sum,
-    unembed,
 )
+from lohesphere.transport import EmpiricalMeasure
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
 
 
-def test_hermitian_inner_unit_self():
-    assert hermitian_inner(E1, E1) == 1.0
+def test_check_unit_rows_validates():
+    check_unit_rows(np.stack([E1, E2]), "states")
+    with pytest.raises(ValueError, match="states must be unit norm"):
+        check_unit_rows(np.stack([E1, 1.5 * E2]), "states")
 
 
-def test_hermitian_inner_conjugates_first_argument():
-    # componentwise: conj(i) * 1 = -i
-    assert hermitian_inner(1j * E1, E1) == pytest.approx(-1j)
+PARAMS = CouplingParams(1.0, 0.0)
+STATES = np.stack([E1, E2])
+SKEW = np.array([[1j, 1.0], [-1.0, 0.0]])
+SKEW_STACK = np.stack([SKEW, -SKEW, 2.0 * SKEW])
+COUPLINGS = {(0,): 1.0, (1,): 0.5}
 
 
-def test_hermitian_inner_orthogonal_pair():
-    w = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    z = np.array([1.0, -1.0j]) / np.sqrt(2.0)
-    expected = np.sum(np.conj(w) * z)  # direct componentwise evaluation
-    assert expected == pytest.approx(0.0)
-    assert hermitian_inner(w, z) == pytest.approx(expected, abs=1e-15)
+def _with(x, value, index):
+    x = np.array(x, dtype=complex)
+    x[index] = value
+    return x
 
 
-def test_hermitian_inner_conjugate_symmetry():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert hermitian_inner(w, z) == pytest.approx(np.conj(hermitian_inner(z, w)))
+UNIT_CASES = {
+    "ensemble-states": lambda x: Ensemble.zero_frequency(_with(STATES, x, (1, 0)), PARAMS),
+    "tensor-tensors": lambda x: TensorEnsemble(
+        _with(STATES, x, (0, 1)), np.zeros((2, 2, 2)), COUPLINGS
+    ),
+    "measure-atoms": lambda x: EmpiricalMeasure.uniform(_with(STATES, x, (1, 1))),
+}
+
+SKEW_CASES = {
+    "ensemble-common": lambda x: Ensemble.with_common_frequency(
+        STATES, _with(SKEW, x, (0, 1)), PARAMS
+    ),
+    "ensemble-stack": lambda x: Ensemble(
+        np.stack([E1, E2, E1]), _with(SKEW_STACK, x, (1, 1, 1)), PARAMS
+    ),
+    "tensor-frequencies": lambda x: TensorEnsemble(
+        STATES, _with(SKEW_STACK[:2], x, (1, 0, 0)), COUPLINGS
+    ),
+    "matrix-exp": lambda x: matrix_exp_family(_with(SKEW, x, (1, 0))),
+    "as-skew-hermitian": lambda x: as_skew_hermitian(_with(SKEW_STACK, x, (1, 1, 0))),
+}
 
 
-def test_hermitian_inner_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        hermitian_inner(np.ones(2, complex), np.ones(3, complex))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "case, message",
+    [*((c, "unit norm") for c in UNIT_CASES), *((c, "skew-Hermitian") for c in SKEW_CASES)],
+)
+def test_invariant_checks_reject_non_finite_input(case, message, value):
+    # a comparison with NaN is False, so a check written "drift > tol" lets NaN pass
+    build = {**UNIT_CASES, **SKEW_CASES}[case]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        build(value)
 
 
-def test_real_dot_phase_direction_vanishes():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert real_dot(z, 1j * z) == pytest.approx(0.0, abs=1e-13)
+def test_one_bad_matrix_in_a_stack_is_rejected():
+    stack = _with(SKEW_STACK, 1.0, (1, 0, 1))  # the middle matrix loses skewness
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        as_skew_hermitian(stack)
+    with pytest.raises(ValueError, match="skew-Hermitian"):
+        Ensemble(np.stack([E1, E2, E1]), stack, PARAMS)
+    np.testing.assert_array_equal(as_skew_hermitian(SKEW_STACK), SKEW_STACK)
+    assert not Ensemble(np.stack([E1, E2, E1]), SKEW_STACK, PARAMS).homogeneous
 
 
-def test_real_dot_examples():
-    assert real_dot(E1, E1) == 1.0
-    # oracle: embed to R^4 and take the Euclidean dot product
-    w = (1.0 + 1.0j) * E1
-    assert embed(w) @ embed(E1) == pytest.approx(1.0)
-    assert real_dot(w, E1) == pytest.approx(1.0)
-
-
-def test_real_dot_matches_embedding_on_random_vectors():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert real_dot(w, z) == pytest.approx(embed(w) @ embed(z), abs=1e-12)
-
-
-def test_embed_interleaves():
-    np.testing.assert_allclose(embed(np.array([1 + 2j, 3 + 0j])), [1.0, 2.0, 3.0, 0.0])
-
-
-def test_unembed_singleton():
-    np.testing.assert_allclose(unembed(np.array([0.0, 1.0])), [1j])
-
-
-def test_embed_roundtrip_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        assert np.array_equal(unembed(embed(z)), z)
-
-
-def test_embed_preserves_norm():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert np.linalg.norm(embed(z)) == pytest.approx(np.linalg.norm(z), rel=1e-14)
-
-
-def test_unembed_rejects_odd_length():
-    with pytest.raises(ValueError, match="even length"):
-        unembed(np.array([1.0, 2.0, 3.0]))
-
-
-def test_as_unit_state_validates():
-    as_unit_state(E1)
-    with pytest.raises(ValueError, match="unit norm"):
-        as_unit_state(1.5 * E1)
-
-
-def test_project_tangent_examples():
-    np.testing.assert_allclose(project_tangent(E1, E1), np.zeros(2), atol=1e-15)
-    np.testing.assert_allclose(project_tangent(E1, E2), E2)
-    # real_dot(e1, i e1) = 0, so the phase direction is already tangent
-    np.testing.assert_allclose(project_tangent(E1, 1j * E1), 1j * E1)
-
-
-def test_project_tangent_rejects_non_unit():
-    with pytest.raises(ValueError, match="unit norm"):
-        project_tangent(2.0 * E1, E2)
-
-
-def test_project_tangent_output_is_tangent_and_idempotent():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        z = random_unit_state(rng, 4)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        p = project_tangent(z, v)
-        assert real_dot(z, p) == pytest.approx(0.0, abs=1e-13)
-        np.testing.assert_allclose(project_tangent(z, p), p, atol=1e-13)
-
-
-def test_project_phase_examples():
-    np.testing.assert_allclose(project_phase(E1, 1j * E1), 1j * E1)
-    np.testing.assert_allclose(project_phase(E1, E1), np.zeros(2), atol=1e-15)
-    np.testing.assert_allclose(project_phase(E1, E2), np.zeros(2), atol=1e-15)
-
-
-def test_project_phase_idempotent():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        z = random_unit_state(rng, 3)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        p = project_phase(z, v)
-        np.testing.assert_allclose(project_phase(z, p), p, atol=1e-13)
+def _q(z, v, kappa0, kappa1):
+    """Q_z(v) through the kinetic velocity field: the two-atom measure on
+    +-v/||v|| with weights (1 +- s)/2 has first moment s v/||v||, and Q_z is
+    real-linear in its target."""
+    r = np.linalg.norm(v)
+    u = v / r
+    s = 0.5
+    mu = EmpiricalMeasure(atoms=np.stack([u, -u]), weights=np.array([1 + s, 1 - s]) / 2)
+    return mean_field_velocity(mu, z, None, CouplingParams(kappa0, kappa1)) * (r / s)
 
 
 def test_q_map_self_coupling_vanishes():
@@ -151,74 +98,33 @@ def test_q_map_self_coupling_vanishes():
     for _ in range(20):
         z = random_unit_state(rng, 4)
         k0, k1 = rng.standard_normal(2)
-        np.testing.assert_allclose(q_map(z, z, k0, k1), np.zeros(4), atol=1e-14)
+        np.testing.assert_allclose(_q(z, z, k0, k1), np.zeros(4), atol=1e-14)
 
 
 def test_q_map_orthogonal_target():
-    np.testing.assert_allclose(q_map(E1, E2, 0.7, -0.3), 0.7 * E2, atol=1e-15)
+    np.testing.assert_allclose(_q(E1, E2, 0.7, -0.3), 0.7 * E2, atol=1e-15)
 
 
 def test_q_map_phase_direction():
     rng = np.random.default_rng(8)
     z = random_unit_state(rng, 3)
     k0, k1 = 0.9, 0.4
-    np.testing.assert_allclose(q_map(z, 1j * z, k0, k1), 2.0 * (k0 + k1) * 1j * z, atol=1e-13)
+    np.testing.assert_allclose(_q(z, 1j * z, k0, k1), 2.0 * (k0 + k1) * 1j * z, atol=1e-13)
 
 
 def test_q_map_projection_decomposition():
-    # direct formula == kappa0 P_tangent + (kappa0 + 2 kappa1) P_phase,
-    # including negative rotational gain
+    # Q_z == kappa0 P_tangent + (kappa0 + 2 kappa1) P_phase, including
+    # negative rotational gain; both projections use the real dot Re <w, v>
     rng = np.random.default_rng(9)
     for _ in range(200):
         z = random_unit_state(rng, 4)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         k0 = rng.standard_normal()
         k1 = rng.standard_normal() - 0.5
-        direct = q_map(z, v, k0, k1)
-        split = k0 * project_tangent(z, v) + (k0 + 2.0 * k1) * project_phase(z, v)
-        np.testing.assert_allclose(direct, split, atol=1e-13)
-
-
-def test_real_dot_identities():
-    # (iz).w = -z.(iw);  (iz).(iw) = z.w;
-    # (b w).z = Re(b) w.z + Im(b) (iw).z;  (b w).(c z) = (b conj(c) w).z
-    rng = np.random.default_rng(10)
-    for _ in range(1000):
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        beta = complex(rng.standard_normal(), rng.standard_normal())
-        gamma = complex(rng.standard_normal(), rng.standard_normal())
-        assert real_dot(1j * z, w) == pytest.approx(-real_dot(z, 1j * w), abs=1e-13)
-        assert real_dot(1j * z, 1j * w) == pytest.approx(real_dot(z, w), abs=1e-13)
-        assert real_dot(beta * w, z) == pytest.approx(
-            beta.real * real_dot(w, z) + beta.imag * real_dot(1j * w, z), abs=1e-12
-        )
-        assert real_dot(beta * w, gamma * z) == pytest.approx(
-            real_dot(beta * np.conj(gamma) * w, z), abs=1e-12
-        )
-
-
-def test_hermitian_real_split():
-    # <z, w> = z.w - i (z.(i w))
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = hermitian_inner(z, w)
-        rhs = real_dot(z, w) - 1j * real_dot(z, 1j * w)
-        assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(lhs))
-
-
-def test_tangent_projection_commutes_with_embedding():
-    # P_tangent = unembed o P_{embed(z) perp} o embed, with the real-space
-    # projection computed independently
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        z = random_unit_state(rng, 3)
-        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        x, u = embed(z), embed(v)
-        real_proj = u - (u @ x) * x
-        np.testing.assert_allclose(project_tangent(z, v), unembed(real_proj), atol=1e-13)
+        tangent = v - np.vdot(z, v).real * z
+        phase = np.vdot(1j * z, v).real * (1j * z)
+        split = k0 * tangent + (k0 + 2.0 * k1) * phase
+        np.testing.assert_allclose(_q(z, v, k0, k1), split, atol=1e-13)
 
 
 def test_matrix_exp_zero_is_identity():

@@ -1,7 +1,5 @@
 """Diagnostics: F/G pair scan, moments, rates, defect, dJ/dt bound."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,22 +333,12 @@ def test_observable_series_roundtrip(tmp_path):
     series = ObservableSeries(
         times=np.array([0.0, 0.5, 1.0]),
         series={"F": np.array([0.3, 0.2, 0.1]), "R": np.array([0.9, 0.95, 1.0])},
-        metadata={"seed": 3},
     )
     csv_path = tmp_path / "series.csv"
     series.to_csv(csv_path)
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "time,F,R"
     assert len(lines) == 4
-
-    json_path = tmp_path / "series.json"
-    series.to_json(json_path)
-    loaded = ObservableSeries.from_json(json_path)
-    np.testing.assert_array_equal(loaded.times, series.times)
-    np.testing.assert_array_equal(loaded.column("F"), series.column("F"))
-    assert loaded.metadata == {"seed": 3}
-    payload = json.loads(json_path.read_text())
-    assert set(payload) == {"times", "series", "metadata"}
 
 
 def test_observable_series_full_precision(tmp_path):

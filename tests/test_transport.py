@@ -1,10 +1,11 @@
 """Wasserstein distances: assignment solver, transport LP, brute-force oracle."""
 
-import json
+import math
 
 import numpy as np
 import pytest
 
+from lohesphere.observables import lp_distance
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
 from lohesphere.transport import (
     EmpiricalMeasure,
@@ -221,17 +222,34 @@ def test_frequency_tagged_cost():
         wasserstein_uniform(mu, plain, 2.0)
 
 
-def test_plan_serialization(tmp_path):
+def test_plan_serialization():
     rng = np.random.default_rng(14)
     mu = _uniform(random_sphere_states(rng, 3, 2))
     nu = _uniform(random_sphere_states(rng, 4, 2))
     dist, plan = wasserstein_general(mu, nu, 2.0)
-    path = tmp_path / "plan.json"
-    plan.to_json(path)
-    payload = json.loads(path.read_text())
-    assert payload["cost_power"] == 2.0
-    mass = sum(entry["mass"] for entry in payload["entries"])
-    assert mass == pytest.approx(1.0, abs=1e-9)
+    assert plan.cost_power == 2.0
+    assert float(np.sum(plan.coupling)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "distance",
+    [
+        lp_distance,
+        lambda a, b, p: wasserstein_uniform(_uniform(a), _uniform(b), p),
+        lambda a, b, p: wasserstein_uniform_nested(_uniform(a), _uniform(b), p),
+        lambda a, b, p: wasserstein_general(_uniform(a), _uniform(b), p),
+        lambda a, b, p: wasserstein_bruteforce(_uniform(a), _uniform(b), p),
+    ],
+    ids=["lp_distance", "uniform", "uniform_nested", "general", "bruteforce"],
+)
+def test_non_finite_order_p_is_rejected(distance, p):
+    # at p = inf, (sum gaps**p)**(1/p) is 0**0 or inf**0 = 1.0 for any pair
+    rng = np.random.default_rng(15)
+    a = random_sphere_states(rng, 3, 2)
+    b = random_sphere_states(rng, 3, 2)
+    with pytest.raises(ValueError, match="p must be finite"):
+        distance(a, b, p)
 
 
 def test_measure_validation():
