@@ -46,6 +46,7 @@ from .transport import (
     TransportPlan,
     wasserstein_bruteforce,
     wasserstein_general,
+    wasserstein_nested_track,
     wasserstein_uniform,
     wasserstein_uniform_nested,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "TransportPlan",
     "wasserstein_bruteforce",
     "wasserstein_general",
+    "wasserstein_nested_track",
     "wasserstein_uniform",
     "wasserstein_uniform_nested",
     "ConfigError",

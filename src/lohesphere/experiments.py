@@ -50,8 +50,8 @@ from .sampling import (
 from .transport import (
     EmpiricalMeasure,
     wasserstein_general,
+    wasserstein_nested_track,
     wasserstein_uniform,
-    wasserstein_uniform_nested,
 )
 
 __all__ = [
@@ -635,10 +635,10 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _nested_w2_tracks(
     cfg: ExperimentConfig, states: NDArray, freqs: NDArray | None, t_end: float
-) -> tuple[NDArray, dict[tuple[int, int], NDArray]]:
+) -> tuple[NDArray, dict[tuple[int, int], NDArray], dict[str, float]]:
     """Integrate the nested ensembles ``states[:n]`` for n in n_grid up to t_end
-    and return the recorded times and, per consecutive pair (n, 2n), the track
-    of W_2(mu^n_t, mu^2n_t).
+    and return the recorded times, per consecutive pair (n, 2n) the track of
+    W_2(mu^n_t, mu^2n_t), and the seconds spent stepping and in transport.
 
     freqs=None runs at zero frequency on plain measures; otherwise particle j
     has frequency ``freqs[j]`` and the measures carry it as a tag.
@@ -646,18 +646,22 @@ def _nested_w2_tracks(
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     icfg = _integrator_config(cfg, t_end=t_end)
     zero = np.zeros((cfg.d, cfg.d), dtype=np.complex128)
-    clouds: dict[int, list[EmpiricalMeasure]] = {}
+    tags = {n: None if freqs is None else freqs[:n] for n in cfg.n_grid}
+    start = time.perf_counter()
+    snaps = {}
     for n in cfg.n_grid:
-        tags = None if freqs is None else freqs[:n]
-        traj, _ = integrate(Ensemble(states[:n], zero if tags is None else tags, params), icfg)
-        clouds[n] = [EmpiricalMeasure.uniform(snap, frequencies=tags) for snap in traj.snapshots]
+        ens = Ensemble(states[:n], zero if tags[n] is None else tags[n], params)
+        traj, _ = integrate(ens, icfg)
+        snaps[n] = traj.snapshots
+    stepped = time.perf_counter()
     tracks = {
-        (small, big): np.array(
-            [wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])]
+        (small, big): wasserstein_nested_track(
+            snaps[small], snaps[big], 2.0, tags[small], tags[big]
         )
         for small, big in zip(cfg.n_grid, cfg.n_grid[1:])
     }
-    return traj.times, tracks
+    seconds = {"stepping": stepped - start, "transport": time.perf_counter() - stepped}
+    return traj.times, tracks, seconds
 
 
 def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
@@ -676,7 +680,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     n_max = cfg.n_grid[-1]
     states = admissible_cap_states(rng, n_max, cfg.d, threshold)
 
-    grid, w2 = _nested_w2_tracks(cfg, states, None, cfg.t_end)
+    grid, w2, seconds = _nested_w2_tracks(cfg, states, None, cfg.t_end)
     pairs = list(w2)
     sups = [float(np.max(track)) for track in w2.values()]
     initials = [float(track[0]) for track in w2.values()]
@@ -705,7 +709,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     rng_h = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     freqs = random_frequencies(rng_h, n_max, cfg.d, 0.5, heterogeneous=True)
     t_short = 2.0
-    _, het = _nested_w2_tracks(cfg, states, freqs, t_short)
+    _, het, het_seconds = _nested_w2_tracks(cfg, states, freqs, t_short)
     bound_const = _stability_constant(cfg.kappa0, cfg.kappa1, t_short)
     het_margin = max(
         float(np.max(track) - (bound_const * track[0] + 0.05)) for track in het.values()
@@ -736,6 +740,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
             "sup_w2": sups,
             "initial_w2": initials,
             "fitted_constant": fitted_c,
+            "seconds": {key: seconds[key] + het_seconds[key] for key in seconds},
         },
         series={"wasserstein": series},
     )

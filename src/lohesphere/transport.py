@@ -6,10 +6,15 @@ frequency matrices use the product-space cost
 convention (every aligned-regime statement uses a common frequency, where
 the two costs coincide).
 
-Uniform equal-size measures are solved by exact min-cost assignment; the
-general weighted case by the discrete transport linear program (HiGHS dual
-simplex, no regularization).  An exhaustive-permutation oracle is kept for
-cross-checking the solvers at small N.
+Uniform measures whose sizes divide one another are solved by exact
+min-cost assignment on the small-by-big cost block with each row repeated
+size-ratio times (the cost matrix of the repeated atoms); the general
+weighted case by the discrete transport linear program (HiGHS dual simplex,
+no regularization).  An exhaustive-permutation oracle is kept for
+cross-checking the solvers at small N.  Costs are summed in row blocks
+through ``geometry.row_sum``, bit for bit the full reduction.  Along a track
+of nested snapshots (:func:`wasserstein_nested_track`) atoms and tags are
+checked once, and the tag cost, constant in time, is computed once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from numpy.typing import NDArray
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .geometry import check_unit_rows
+from .geometry import as_skew_hermitian, check_unit_rows, row_sum
 
 __all__ = [
     "EmpiricalMeasure",
@@ -31,6 +36,7 @@ __all__ = [
     "SupportSizeError",
     "wasserstein_uniform",
     "wasserstein_uniform_nested",
+    "wasserstein_nested_track",
     "wasserstein_general",
     "wasserstein_bruteforce",
 ]
@@ -40,6 +46,9 @@ MAX_SUPPORT = 512
 
 #: weight-sum tolerance for a probability measure
 WEIGHT_TOL = 1e-12
+
+#: complex entries of the (rows, m, k) difference block a cost sum holds at once
+COST_BLOCK = 2**15
 
 
 class SupportSizeError(ValueError):
@@ -52,7 +61,8 @@ class EmpiricalMeasure:
 
     atoms: (N, d) complex unit vectors; weights: nonnegative, summing to 1.
     frequencies, when present, make this a measure on the full phase space
-    and switch the ground cost to the product-space norm.
+    and switch the ground cost to the product-space norm; they must be an
+    (N, d, d) stack of finite skew-Hermitian matrices.
     """
 
     atoms: NDArray[np.complexfloating]
@@ -76,9 +86,7 @@ class EmpiricalMeasure:
             if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_TOL:
                 raise ValueError("weights must sum to 1")
         if self.frequencies is not None:
-            self.frequencies = np.asarray(self.frequencies, dtype=np.complex128)
-            if self.frequencies.shape[0] != n:
-                raise ValueError("frequency tags must have one entry per atom")
+            self.frequencies = _as_tags(self.frequencies, self.atoms.shape)
 
     @classmethod
     def uniform(cls, atoms, frequencies=None) -> "EmpiricalMeasure":
@@ -122,16 +130,52 @@ class TransportPlan:
         return float(np.sum(self.coupling * cost_matrix**self.cost_power))
 
 
-def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> NDArray:
-    if mu.atoms.shape[1] != nu.atoms.shape[1]:
+def _as_tags(tags, atoms_shape: tuple[int, int]) -> NDArray[np.complexfloating]:
+    """Validate frequency tags against (N, d) atoms: an (N, d, d) skew-Hermitian stack."""
+    n, d = atoms_shape
+    tags = np.asarray(tags, dtype=np.complex128)
+    if tags.shape != (n, d, d):
+        raise ValueError(
+            f"frequency tags must have shape ({n}, {d}, {d}) to match the atoms, "
+            f"got {tags.shape}"
+        )
+    return as_skew_hermitian(tags)
+
+
+def _squared_distances(x: NDArray, y: NDArray) -> NDArray[np.floating]:
+    """(n, m) matrix of ``sum |x_i - y_j|^2`` over all trailing axes of x and y.
+
+    Bit for bit ``np.sum(np.abs(x[:, None] - y[None]) ** 2, axis=(2, ...))``:
+    the trailing axes are flattened and each block of rows is summed by
+    ``row_sum``, so at most ``COST_BLOCK`` differences are held at once.
+    """
+    x = x.reshape(len(x), -1)
+    y = y.reshape(len(y), -1)
+    out = np.empty((len(x), len(y)))
+    rows = max(1, COST_BLOCK // out.shape[1] // x.shape[1])
+    for i in range(0, len(x), rows):
+        out[i : i + rows] = row_sum(np.abs(x[i : i + rows, None] - y[None]) ** 2)
+    return out
+
+
+def _tag_cost(tags_a, tags_b, d_a: int, d_b: int) -> NDArray[np.floating] | None:
+    """Squared Frobenius distances between two tag stacks; None for plain measures.
+
+    Also rejects measures on spheres of different dimension and a tagged
+    measure paired with a plain one.
+    """
+    if d_a != d_b:
         raise ValueError("measures live on spheres of different dimension")
-    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-    cost_sq = np.sum(np.abs(diff) ** 2, axis=2)
-    if mu.frequencies is not None and nu.frequencies is not None:
-        fd = mu.frequencies[:, None] - nu.frequencies[None, :]
-        cost_sq = cost_sq + np.sum(np.abs(fd) ** 2, axis=tuple(range(2, fd.ndim)))
-    elif (mu.frequencies is None) != (nu.frequencies is None):
+    if (tags_a is None) != (tags_b is None):
         raise ValueError("cannot mix frequency-tagged and plain measures")
+    return None if tags_a is None else _squared_distances(tags_a, tags_b)
+
+
+def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> NDArray:
+    tag_sq = _tag_cost(mu.frequencies, nu.frequencies, mu.atoms.shape[1], nu.atoms.shape[1])
+    cost_sq = _squared_distances(mu.atoms, nu.atoms)
+    if tag_sq is not None:
+        cost_sq += tag_sq
     return np.sqrt(cost_sq)
 
 
@@ -161,27 +205,68 @@ def wasserstein_uniform_nested(
 ) -> float:
     """Exact W_p between uniform measures whose sizes divide one another.
 
-    Each atom of the smaller measure is replicated size-ratio times, which
-    turns the transport program into an equal-marginal one; its vertices are
-    permutations, so a single assignment solve is exact.  Cheap enough to
-    evaluate along whole trajectories.
+    Each atom of the smaller measure counts size-ratio times, which turns
+    the transport program into an equal-marginal one; its vertices are
+    permutations, so a single assignment solve is exact.  The assignment
+    runs on the small-by-big cost block with every row repeated size-ratio
+    times, the cost matrix of the repeated atoms.
     """
     p = _check_p(p)
     if not (mu.is_uniform() and nu.is_uniform()):
         raise ValueError("nested evaluation requires uniform measures")
     small, big = (mu, nu) if mu.n_atoms <= nu.n_atoms else (nu, mu)
-    ratio, rem = divmod(big.n_atoms, small.n_atoms)
-    if rem != 0:
-        raise ValueError("atom counts must divide one another")
-    rep_freqs = None
-    if small.frequencies is not None:
-        rep_freqs = np.repeat(small.frequencies, ratio, axis=0)
-    replicated = EmpiricalMeasure.uniform(
-        np.repeat(small.atoms, ratio, axis=0), frequencies=rep_freqs
+    tag_sq = _tag_cost(
+        small.frequencies, big.frequencies, small.atoms.shape[1], big.atoms.shape[1]
     )
-    cost = _cost_matrix(replicated, big)
-    rows, cols = linear_sum_assignment(cost**p)
-    return float(np.mean(cost[rows, cols] ** p) ** (1.0 / p))
+    return float(_nested_track(small.atoms[None], big.atoms[None], tag_sq, p)[0])
+
+
+def wasserstein_nested_track(
+    small_snaps, big_snaps, p: float = 2.0, small_tags=None, big_tags=None
+) -> NDArray[np.floating]:
+    """W_p between the uniform measures of two nested runs at every snapshot.
+
+    small_snaps is a (T, n, d) stack of atoms and big_snaps a (T, m, d) one
+    with m a multiple of n; entry k of the result is, bit for bit,
+    ``wasserstein_uniform_nested`` of the measures on ``small_snaps[k]`` and
+    ``big_snaps[k]``.  Optional frequency tags, (n, d, d) and (m, d, d),
+    tag the atoms of every snapshot alike.  Each stack and each tag set is
+    validated once, and the tag cost, constant along the track, is computed
+    once.
+    """
+    p = _check_p(p)
+    small = np.asarray(small_snaps, dtype=np.complex128)
+    big = np.asarray(big_snaps, dtype=np.complex128)
+    if small.ndim != 3 or big.ndim != 3 or len(small) != len(big) or 0 in small.shape:
+        raise ValueError(
+            "snapshots must be nonempty (T, n, d) and (T, m, d) stacks of equal length T"
+        )
+    check_unit_rows(small, "track atoms")
+    check_unit_rows(big, "track atoms")
+    if small_tags is not None:
+        small_tags = _as_tags(small_tags, small.shape[1:])
+    if big_tags is not None:
+        big_tags = _as_tags(big_tags, big.shape[1:])
+    tag_sq = _tag_cost(small_tags, big_tags, small.shape[2], big.shape[2])
+    return _nested_track(small, big, tag_sq, p)
+
+
+def _nested_track(
+    small: NDArray, big: NDArray, tag_sq: NDArray | None, p: float
+) -> NDArray[np.floating]:
+    """One exact assignment per snapshot of validated (T, n, d) and (T, m, d) stacks."""
+    ratio, rem = divmod(big.shape[1], small.shape[1])
+    if ratio == 0 or rem != 0:
+        raise ValueError("atom counts must divide one another")
+    track = np.empty(len(small))
+    for k in range(len(small)):
+        cost_sq = _squared_distances(small[k], big[k])
+        if tag_sq is not None:
+            cost_sq += tag_sq
+        cost_p = np.repeat(np.sqrt(cost_sq) ** p, ratio, axis=0)
+        rows, cols = linear_sum_assignment(cost_p)
+        track[k] = np.mean(cost_p[rows, cols]) ** (1.0 / p)
+    return track
 
 
 def wasserstein_general(

@@ -102,7 +102,7 @@ def test_pair_and_nested_tracks_equal_direct_distances():
             assert tracks[p].tolist() == [distance(a, b, p) for a, b in zip(snaps_a, snaps_b)]
 
     for tags in (None, freqs):  # e3's plain and frequency-tagged comparisons
-        _, tracks = experiments._nested_w2_tracks(cfg, states, tags, 0.2)
+        _, tracks, _ = experiments._nested_w2_tracks(cfg, states, tags, 0.2)
         assert list(tracks) == [(2, 4), (4, 8)]
         for small, big in tracks:
             clouds = {}
@@ -186,6 +186,10 @@ def test_e3_sup_series_nonincreasing():
     assert len(sups) == 2
     assert sups[0] >= sups[1]
     assert all(s >= 0 for s in report.data["initial_w2"])
+    # e3 reports where its time went
+    seconds = report.data["seconds"]
+    assert set(seconds) == {"stepping", "transport"}
+    assert all(v > 0 for v in seconds.values())
 
 
 def test_e5_negative_kappa1_boundary():

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from lohesphere import transport
 from lohesphere.observables import lp_distance
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
 from lohesphere.transport import (
@@ -12,6 +16,7 @@ from lohesphere.transport import (
     SupportSizeError,
     wasserstein_bruteforce,
     wasserstein_general,
+    wasserstein_nested_track,
     wasserstein_uniform,
     wasserstein_uniform_nested,
 )
@@ -135,6 +140,9 @@ def test_nested_solver_rejects_non_divisible():
     nu = _uniform(random_sphere_states(rng, 7, 2))
     with pytest.raises(ValueError, match="divide"):
         wasserstein_uniform_nested(mu, nu, 2.0)
+    for small, big in ((mu, nu), (nu, mu)):  # the track takes the small run first
+        with pytest.raises(ValueError, match="divide"):
+            wasserstein_nested_track(small.atoms[None], big.atoms[None], 2.0)
 
 
 def test_support_size_cap():
@@ -238,10 +246,11 @@ def test_plan_serialization():
         lp_distance,
         lambda a, b, p: wasserstein_uniform(_uniform(a), _uniform(b), p),
         lambda a, b, p: wasserstein_uniform_nested(_uniform(a), _uniform(b), p),
+        lambda a, b, p: wasserstein_nested_track(a[None], b[None], p),
         lambda a, b, p: wasserstein_general(_uniform(a), _uniform(b), p),
         lambda a, b, p: wasserstein_bruteforce(_uniform(a), _uniform(b), p),
     ],
-    ids=["lp_distance", "uniform", "uniform_nested", "general", "bruteforce"],
+    ids=["lp_distance", "uniform", "uniform_nested", "nested_track", "general", "bruteforce"],
 )
 def test_non_finite_order_p_is_rejected(distance, p):
     # at p = inf, (sum gaps**p)**(1/p) is 0**0 or inf**0 = 1.0 for any pair
@@ -260,3 +269,98 @@ def test_measure_validation():
         EmpiricalMeasure(atoms=atoms, weights=np.array([0.7, 0.6]))
     with pytest.raises(ValueError, match="nonnegative"):
         EmpiricalMeasure(atoms=atoms, weights=np.array([1.5, -0.5]))
+
+
+def _skew_stack(rng, n, d, scale=1.0):
+    return np.stack([random_skew_hermitian(rng, d, scale) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "bad_tags",
+    [
+        lambda rng: np.where(np.eye(2, dtype=bool), np.nan, _skew_stack(rng, 3, 2)),
+        lambda rng: _skew_stack(rng, 3, 3),
+        lambda rng: np.stack([np.eye(2, dtype=complex)] * 3),
+    ],
+    ids=["nan", "shape_3x3_on_c2", "hermitian"],
+)
+def test_frequency_tags_are_validated(bad_tags):
+    rng = np.random.default_rng(16)
+    atoms = random_sphere_states(rng, 3, 2)
+    tags = bad_tags(rng)
+    with pytest.raises(ValueError, match="frequency"):
+        EmpiricalMeasure.uniform(atoms, frequencies=tags)
+    with pytest.raises(ValueError, match="frequency"):
+        wasserstein_nested_track(atoms[None], atoms[None], 2.0, tags, _skew_stack(rng, 3, 2))
+    with pytest.raises(ValueError, match="frequency"):
+        wasserstein_nested_track(atoms[None], atoms[None], 2.0, _skew_stack(rng, 3, 2), tags)
+
+
+def test_cost_matrix_is_the_full_reduction_bitwise():
+    # the blocked cost must be the (n, m, d) numpy reduction bit for bit,
+    # also at d >= 4 where row_sum works in lanes and for the d*d tag rows
+    rng = np.random.default_rng(17)
+    for d in range(1, 10):
+        for n, m in [(1, 1), (5, 3), (40, 300)]:
+            a = random_sphere_states(rng, n, d)
+            b = random_sphere_states(rng, m, d)
+            scales = 10.0 ** rng.uniform(-6, 6, size=2)
+            ta, tb = _skew_stack(rng, n, d, scales[0]), _skew_stack(rng, m, d, scales[1])
+            plain = np.sum(np.abs(a[:, None] - b[None]) ** 2, axis=2)
+            tag_term = np.sum(np.abs(ta[:, None] - tb[None]) ** 2, axis=(2, 3))
+            cost = transport._cost_matrix(_uniform(a), _uniform(b))
+            assert np.array_equal(cost, np.sqrt(plain)), (d, n, m)
+            tagged = transport._cost_matrix(
+                EmpiricalMeasure.uniform(a, frequencies=ta),
+                EmpiricalMeasure.uniform(b, frequencies=tb),
+            )
+            assert np.array_equal(tagged, np.sqrt(plain + tag_term)), (d, n, m)
+
+
+def _repeated_atoms_distance(small, big, p, small_tags=None, big_tags=None):
+    """Reference nested W_p: repeat the small measure's atoms, then one assignment."""
+    ratio = len(big) // len(small)
+    atoms = np.repeat(small, ratio, axis=0)
+    cost_sq = np.sum(np.abs(atoms[:, None, :] - big[None, :, :]) ** 2, axis=2)
+    if small_tags is not None:
+        fd = np.repeat(small_tags, ratio, axis=0)[:, None] - big_tags[None, :]
+        cost_sq = cost_sq + np.sum(np.abs(fd) ** 2, axis=(2, 3))
+    cost = np.sqrt(cost_sq)
+    rows, cols = linear_sum_assignment(cost**p)
+    return float(np.mean(cost[rows, cols] ** p) ** (1.0 / p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([1.0, 2.0, 4.0]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(1, 3),
+    st.sampled_from([1, 7, transport.COST_BLOCK]),
+    st.integers(0, 2**32 - 1),
+)
+def test_nested_paths_equal_repeated_atoms(n, ratio, p, d, tagged, n_snaps, block, seed):
+    rng = np.random.default_rng(seed)
+    # atoms and tags drawn from a small pool, so duplicates (ties) are common
+    pool = random_sphere_states(rng, 3, d)
+    tag_pool = _skew_stack(rng, 2, d)
+    small = pool[rng.integers(0, 3, size=(n_snaps, n))]
+    big = pool[rng.integers(0, 3, size=(n_snaps, n * ratio))]
+    small_tags = tag_pool[rng.integers(0, 2, size=n)] if tagged else None
+    big_tags = tag_pool[rng.integers(0, 2, size=n * ratio)] if tagged else None
+    expected = [_repeated_atoms_distance(s, b, p, small_tags, big_tags) for s, b in zip(small, big)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "COST_BLOCK", block)
+        track = wasserstein_nested_track(small, big, p, small_tags, big_tags)
+        single = [
+            wasserstein_uniform_nested(
+                EmpiricalMeasure.uniform(s, frequencies=small_tags),
+                EmpiricalMeasure.uniform(b, frequencies=big_tags),
+                p,
+            )
+            for s, b in zip(small, big)
+        ]
+    assert track.tolist() == expected
+    assert single == expected
