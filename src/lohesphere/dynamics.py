@@ -112,14 +112,6 @@ class Ensemble:
         return cls(states, np.zeros((d, d), dtype=np.complex128), params)
 
     @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def common_frequency(self) -> NDArray[np.complexfloating]:
         if not self.homogeneous:
             raise ValueError("ensemble frequencies are heterogeneous")
@@ -309,10 +301,6 @@ class TensorEnsemble:
             )
         self.tensors = tensors
         self.frequency_tensors = frequency_tensors
-
-    @property
-    def n_particles(self) -> int:
-        return self.tensors.shape[0]
 
 
 _OUT_LETTERS = "abc"

@@ -40,8 +40,6 @@ from .observables import (
     r_squared_rate,
 )
 from .sampling import (
-    admissible_cap_states,
-    admissible_threshold,
     jitter_states,
     random_frequencies,
     random_sphere_states,
@@ -51,7 +49,6 @@ from .transport import (
     EmpiricalMeasure,
     wasserstein_general,
     wasserstein_nested_track,
-    wasserstein_uniform,
 )
 
 __all__ = [
@@ -220,42 +217,34 @@ def _coerce(type_name: str, value):
 
 @dataclass
 class CheckResult:
-    """One asserted bound: observed value, limit, and the tolerance used.
+    """One asserted bound: ``observed <= limit + tolerance``, or
+    ``observed >= limit - tolerance`` for the comparator ``">="``.
 
+    The numbers are stored as floats and ``passed`` is computed from them at
+    construction, so a verdict always matches its own numbers; a NaN fails.
     gating=False marks report-only observations that do not affect the
     experiment verdict (used where only an empirical trend is recorded).
     """
 
     name: str
-    passed: bool
     observed: float
     limit: float
-    comparator: str
     tolerance: float
+    comparator: str = "<="
     gating: bool = True
     detail: str = ""
+    passed: bool = field(init=False)
 
-
-def _check(
-    name, observed, limit, tolerance, comparator="<=", gating=True, detail=""
-) -> CheckResult:
-    """Bound ``observed <= limit + tolerance``, or ``>= limit - tolerance`` for ``">="``."""
-    if comparator == "<=":
-        passed = observed <= limit + tolerance
-    elif comparator == ">=":
-        passed = observed >= limit - tolerance
-    else:
-        raise ValueError(f"unknown comparator {comparator!r}")
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        observed=float(observed),
-        limit=float(limit),
-        comparator=comparator,
-        tolerance=float(tolerance),
-        gating=gating,
-        detail=detail,
-    )
+    def __post_init__(self) -> None:
+        self.observed = float(self.observed)
+        self.limit = float(self.limit)
+        self.tolerance = float(self.tolerance)
+        if self.comparator == "<=":
+            self.passed = self.observed <= self.limit + self.tolerance
+        elif self.comparator == ">=":
+            self.passed = self.observed >= self.limit - self.tolerance
+        else:
+            raise ValueError(f"unknown comparator {self.comparator!r}")
 
 
 @dataclass
@@ -346,14 +335,14 @@ def standard_observers(params: CouplingParams, with_dj: bool) -> dict:
     return obs
 
 
-def pair_inequality_check(series: ObservableSeries, tolerance: float = 1e-12) -> CheckResult:
-    """G <= 2 sqrt(F) at every recorded time."""
+def pair_inequality_check(series: ObservableSeries) -> CheckResult:
+    """G <= 2 sqrt(F) at every recorded time, to 1e-12."""
     gap = np.max(series.column("G") - 2.0 * np.sqrt(np.maximum(series.column("F"), 0.0)))
-    return _check(
+    return CheckResult(
         "pair_inequality",
         gap,
         0.0,
-        tolerance,
+        1e-12,
         detail="max over recorded times of G - 2 sqrt(F)",
     )
 
@@ -377,9 +366,9 @@ def fd_r_squared_rate(ens: Ensemble, h: float = 1e-3) -> float:
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def fit_decay_rate(times: NDArray, values: NDArray, floor: float = 1e-300) -> float:
+def fit_decay_rate(times: NDArray, values: NDArray) -> float:
     """Least-squares slope of log(values); returns the positive decay rate."""
-    mask = values > max(floor, values[0] * 1e-12)
+    mask = values > max(1e-300, values[0] * 1e-12)
     if np.count_nonzero(mask) < 2:
         return 0.0
     slope = np.polyfit(times[mask], np.log(values[mask]), 1)[0]
@@ -393,7 +382,7 @@ def _saturation_check(
     1.05 times its sup over t <= t_mid.  Returns the check and both sups."""
     sup_mid = float(np.max(ratio[times <= t_mid + 1e-12]))
     sup_long = float(np.max(ratio))
-    return _check(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
+    return CheckResult(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
 
 
 def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
@@ -439,14 +428,14 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
     g_bound = 2.0 * math.sqrt(f0) * np.exp(-0.5 * rate * times)
 
     checks = [
-        _check(
+        CheckResult(
             "F_exponential_bound",
             np.max(f_vals - f_bound),
             0.0,
             1e-12,
             detail=f"max_t F(t) - F0 exp(-{rate:g} t); first violation would be reported",
         ),
-        _check(
+        CheckResult(
             "G_exponential_bound",
             np.max(g_vals - g_bound),
             0.0,
@@ -466,7 +455,7 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
         f_mid = f_vals[1:-1]
         rhs = -2.0 * cfg.kappa0 * (1.0 - f_mid - ratio) * f_mid + 1e-3 * (1.0 + np.abs(fdot))
         checks.append(
-            _check(
+            CheckResult(
                 "f_differential_inequality",
                 np.max(fdot - rhs),
                 0.0,
@@ -477,7 +466,7 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
 
     fitted = fit_decay_rate(times, f_vals)
     checks.append(
-        _check(
+        CheckResult(
             "fitted_decay_rate",
             fitted,
             rate,
@@ -505,16 +494,13 @@ def _stability_constant(kappa0: float, kappa1: float, horizon: float) -> float:
 
 
 def _pair_tracks(
-    ens_a: Ensemble, ens_b: Ensemble, icfg: IntegratorConfig, p_values, distance
+    ens_a: Ensemble, ens_b: Ensemble, icfg: IntegratorConfig, p_values, track
 ) -> tuple[NDArray, dict[float, NDArray]]:
-    """Integrate two ensembles and return the recorded times and, per p, the
-    track of ``distance(states_a, states_b, p)`` over the recorded snapshots."""
+    """Integrate two ensembles and return the recorded times and, per p,
+    ``track(snaps_a, snaps_b, p)`` on the two (T, N, d) snapshot stacks."""
     traj_a, _ = integrate(ens_a, icfg)
     traj_b, _ = integrate(ens_b, icfg)
-    pairs = list(zip(traj_a.snapshots, traj_b.snapshots))
-    return traj_a.times, {
-        p: np.asarray([distance(a, b, p) for a, b in pairs]) for p in p_values
-    }
+    return traj_a.times, {p: track(traj_a.snapshots, traj_b.snapshots, p) for p in p_values}
 
 
 def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
@@ -542,7 +528,8 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
         ens_a = Ensemble(states, freqs, params)
         ens_b = Ensemble(other, freqs, params)
-        times, dists = _pair_tracks(ens_a, ens_b, icfg, cfg.p_values, lp_distance)
+        # the grid-density cross-check below reads the p = 2 track
+        times, dists = _pair_tracks(ens_a, ens_b, icfg, {*cfg.p_values, 2.0}, lp_distance)
         for p in cfg.p_values:
             track = dists[p]
             initial = track[0]
@@ -559,7 +546,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
             refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
 
     checks = [
-        _check(
+        CheckResult(
             f"lp_bound_T{horizon:g}_p{p:g}",
             worst[(horizon, p)],
             1.0,
@@ -574,7 +561,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
         for p in cfg.p_values
     ]
     checks.append(
-        _check(
+        CheckResult(
             "grid_density_cross_check",
             refined_delta,
             0.01,
@@ -591,7 +578,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     ens_b = Ensemble.zero_frequency(states.copy(), params)
     _, dists = _pair_tracks(ens_a, ens_b, icfg, (2.0,), lp_distance)
     checks.append(
-        _check(
+        CheckResult(
             "identical_data_stay_identical",
             float(np.max(dists[2.0])),
             0.0,
@@ -675,10 +662,8 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     A heterogeneous-frequency variant over a short horizon is evaluated and
     reported without gating.
     """
-    threshold = _threshold_or_config_error(cfg)
-    rng = np.random.default_rng(cfg.seed)
     n_max = cfg.n_grid[-1]
-    states = admissible_cap_states(rng, n_max, cfg.d, threshold)
+    states = _admissible_ensemble(replace(cfg, n=n_max)).states
 
     grid, w2, seconds = _nested_w2_tracks(cfg, states, None, cfg.t_end)
     pairs = list(w2)
@@ -689,14 +674,14 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     initials_arr = np.asarray(initials)
     fitted_c = float(np.sum(sups_arr * initials_arr) / np.sum(initials_arr**2))
     checks = [
-        _check(
+        CheckResult(
             "cauchy_nonincreasing",
             float(np.max(np.diff(sups_arr))) if len(sups_arr) > 1 else 0.0,
             0.0,
             0.0,
             detail="max increase of sup_t W2(mu^N, mu^2N) across consecutive pairs",
         ),
-        _check(
+        CheckResult(
             "uniform_bound_fitted_constant",
             float(np.max(sups_arr - fitted_c * initials_arr)),
             0.05,
@@ -715,7 +700,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
         float(np.max(track) - (bound_const * track[0] + 0.05)) for track in het.values()
     )
     checks.append(
-        _check(
+        CheckResult(
             "heterogeneous_finite_time",
             het_margin,
             0.0,
@@ -746,13 +731,6 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _threshold_or_config_error(cfg: ExperimentConfig) -> float:
-    try:
-        return admissible_threshold(cfg.kappa0, cfg.kappa1, cfg.delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # E4: finite-time stability of measure solutions
 # ---------------------------------------------------------------------------
@@ -773,11 +751,8 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     other = jitter_states(rng, ens.states, cfg.jitter)
     ens_b = Ensemble(other, ens.frequencies, params)
 
-    def w_p(a: NDArray, b: NDArray, p: float) -> float:
-        return wasserstein_uniform(EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b), p)
-
     icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
-    times, w_tracks = _pair_tracks(ens, ens_b, icfg, cfg.p_values, w_p)
+    times, w_tracks = _pair_tracks(ens, ens_b, icfg, cfg.p_values, wasserstein_nested_track)
     checks = []
     for horizon in cfg.horizons:
         bound_const = max(_stability_constant(cfg.kappa0, cfg.kappa1, horizon), 1.0)
@@ -786,7 +761,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
             sup = float(np.max(track[times <= horizon + 1e-12]))
             if track[0] > 1e-12:
                 checks.append(
-                    _check(
+                    CheckResult(
                         f"wp_stability_T{horizon:g}_p{p:g}",
                         sup,
                         bound_const * track[0],
@@ -798,7 +773,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
                 # degenerate perturbation (nu0 = mu0): the flow is unique, so
                 # the measures must simply stay together
                 checks.append(
-                    _check(
+                    CheckResult(
                         f"wp_stability_T{horizon:g}_p{p:g}",
                         sup,
                         0.0,
@@ -808,7 +783,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
                 )
 
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
-    times_l, long_tracks = _pair_tracks(ens, ens_b, long_cfg, (2.0,), w_p)
+    times_l, long_tracks = _pair_tracks(ens, ens_b, long_cfg, (2.0,), wasserstein_nested_track)
     w2 = long_tracks[2.0]
     if w2[0] > 1e-12:
         ratio = w2 / w2[0]
@@ -825,7 +800,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
         ratio = w2
         sup_mid = sup_long = float(np.max(w2))
         checks.append(
-            _check(
+            CheckResult(
                 "admissible_t_independent_constant",
                 sup_long,
                 0.0,
@@ -864,12 +839,11 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     # the defect-decay claim needs admissible data; monotonicity, the rate
     # identity and the dJ/dt bound hold for any data in the aligned regime
     # (including the boundary kappa1 = -kappa0/2, where no cap is admissible)
-    admissible_mode = abs(cfg.kappa1) < cfg.kappa0 / 2.0 and 0.0 < cfg.delta < (
-        1.0 - 2.0 * abs(cfg.kappa1) / cfg.kappa0
-    )
-    if admissible_mode:
+    admissible_mode = True
+    try:
         ens = _admissible_ensemble(cfg)
-    else:
+    except ConfigError:
+        admissible_mode = False
         rng = np.random.default_rng(cfg.seed)
         states = random_sphere_states(rng, cfg.n, cfg.d)
         ens = Ensemble.zero_frequency(states, CouplingParams(cfg.kappa0, cfg.kappa1))
@@ -883,7 +857,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     dj = series.column("dj_norm")
 
     checks = [
-        _check(
+        CheckResult(
             "r_squared_nondecreasing",
             float(np.min(np.diff(r2))) if len(r2) > 1 else 0.0,
             0.0,
@@ -891,7 +865,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
             comparator=">=",
             detail="min per-step increment of R^2 over recorded times",
         ),
-        _check(
+        CheckResult(
             "dj_dt_bound",
             float(np.max(dj)),
             2.0 * (cfg.kappa0 + cfg.kappa1),
@@ -902,7 +876,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     if admissible_mode:
         checks.append(
-            _check(
+            CheckResult(
                 "defect_decay",
                 defect[-1],
                 1e-6 * max(defect[0], 1e-12),
@@ -922,7 +896,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         fd = fd_r_squared_rate(snap_ens, h=1e-3)
         rel_errs.append(abs(analytic - fd) / max(abs(analytic), 1e-12))
     checks.append(
-        _check(
+        CheckResult(
             "rate_matches_finite_difference",
             float(np.max(rel_errs)),
             1e-5,
@@ -935,7 +909,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         step = float(np.mean(np.diff(times)))
         second = np.abs(np.diff(r2, 2)) / step**2
         checks.append(
-            _check(
+            CheckResult(
                 "r_squared_second_derivative_bounded",
                 float(np.max(second)),
                 math.inf,
@@ -1013,7 +987,7 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     j_hat = j_final / np.linalg.norm(j_final)
     alignment = float(np.min((np.conj(final) @ j_hat).real))
     checks.append(
-        _check(
+        CheckResult(
             "a_alignment",
             alignment,
             1.0,
@@ -1025,7 +999,7 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     dirac = EmpiricalMeasure.uniform(j_hat[None, :])
     w2_final, _ = wasserstein_general(EmpiricalMeasure.uniform(final), dirac, 2.0)
     checks.append(
-        _check(
+        CheckResult(
             "a_dirac_convergence",
             w2_final,
             1e-3,
@@ -1063,28 +1037,28 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     )
     checks.extend(
         [
-            _check(
+            CheckResult(
                 "b_antipodal_persistence",
                 antipodal_gap,
                 0.0,
                 1e-8,
                 detail="max_t (1 + x_antipodal . y_hat(t)): the exceptional atom stays put",
             ),
-            _check(
+            CheckResult(
                 "b_two_point_limit",
                 two_point,
                 1e-4,
                 0.0,
                 detail="max_j distance of final states to the {y, -y} pair",
             ),
-            _check(
+            CheckResult(
                 "b_cluster_aggregation",
                 functional_F(final_b[1:]),
                 1e-6,
                 0.0,
                 detail="worst-pair defect of the cluster at t_end",
             ),
-            _check(
+            CheckResult(
                 "b_real_invariance",
                 float(np.max(np.abs(traj_b.snapshots.imag))),
                 0.0,
@@ -1141,14 +1115,14 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
         for name in ("F", "G", "R")
     )
     checks = [
-        _check(
+        CheckResult(
             "splitting_max_deviation",
             deviation,
             1e-6,
             0.0,
             detail="max_{t, j} ||z_j(t) - exp(Omega t) w_j(t)||",
         ),
-        _check(
+        CheckResult(
             "observable_agreement",
             obs_gap,
             1e-8,

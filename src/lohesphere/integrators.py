@@ -87,9 +87,6 @@ class Trajectory:
         if len(self.times) > 1 and np.min(np.diff(self.times)) <= 0:
             raise ValueError("trajectory times must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """One classical 4th-order step of dy/dt = rhs(y); local error O(dt^5).

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
+from .geometry import row_norms
 from .transport import EmpiricalMeasure, _check_p
 
 __all__ = [
@@ -141,12 +142,9 @@ def r_squared_rate(measure: EmpiricalMeasure, kappa0: float, kappa1: float) -> f
     Nonnegative whenever kappa0 > 0 and kappa0 + 2 kappa1 >= 0, which is what
     makes R^2 a Lyapunov-type quantity for the aligned regime.
     """
-    j = j_vector(measure)
-    inner = np.conj(measure.atoms) @ j          # <z_j, J>
-    w = measure.weights
-    j_sq = float(np.vdot(j, j).real)
-    defect_term = float(np.sum(w * (j_sq - inner.real**2)))
-    phase_term = float(np.sum(w * inner.imag**2))
+    inner = np.conj(measure.atoms) @ j_vector(measure)  # <z_j, J>
+    defect_term = aggregation_defect(measure)
+    phase_term = float(np.sum(measure.weights * inner.imag**2))
     return 2.0 * kappa0 * defect_term + 2.0 * (kappa0 + 2.0 * kappa1) * phase_term
 
 
@@ -185,15 +183,24 @@ def dj_dt_norm_bound_check(
     return float(np.linalg.norm(dj)), 2.0 * (kappa0 + kappa1)
 
 
-def lp_distance(states_a, states_b, p: float) -> float:
-    """Configuration distance ``(sum_k ||z_k - w_k||^p)^(1/p)``."""
+def lp_distance(states_a, states_b, p: float):
+    """Configuration distance ``(sum_k ||z_k - w_k||^p)^(1/p)``.
+
+    Two (N, d) configurations give a float.  Two (..., N, d) stacks, such
+    as the snapshots of two runs, give an array with one distance per
+    leading index, each bit for bit the distance of its own pair: numpy's
+    array power is not bitwise its scalar power, so each root is taken as
+    a scalar.
+    """
     p = _check_p(p)
     a = np.asarray(states_a, dtype=np.complex128)
     b = np.asarray(states_b, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError(f"configuration shape mismatch: {a.shape} vs {b.shape}")
-    gaps = np.linalg.norm(a - b, axis=1)
-    return float(np.sum(gaps**p) ** (1.0 / p))
+    sums = np.sum(row_norms(a - b) ** p, axis=-1)
+    if sums.ndim == 0:
+        return float(sums ** (1.0 / p))
+    return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
 
 
 def _fmt(x: float) -> str:

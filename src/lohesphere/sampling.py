@@ -37,6 +37,9 @@ CAP_SHRINK = 0.7
 #: accepted draws must satisfy F0 <= CAP_SAFETY * threshold (strictness margin)
 CAP_SAFETY = 0.98
 
+#: draws, each in a cap shrunk by CAP_SHRINK, before the sampler gives up
+CAP_MAX_ATTEMPTS = 200
+
 
 def admissible_threshold(kappa0: float, kappa1: float, delta: float) -> float:
     """Strict upper bound on F0; raises when the parameters make it empty."""
@@ -77,7 +80,6 @@ def admissible_cap_states(
     n: int,
     d: int,
     threshold: float,
-    max_attempts: int = 200,
 ) -> NDArray:
     """Rejection-sample n states whose worst-pair defect stays below threshold.
 
@@ -92,13 +94,13 @@ def admissible_cap_states(
     if n == 1:
         return center[None, :]
     radius = min(1.0, math.sqrt(threshold))
-    for _ in range(max_attempts):
+    for _ in range(CAP_MAX_ATTEMPTS):
         states = cap_states(rng, n, d, center, radius)
         if functional_F(states) <= CAP_SAFETY * threshold:
             return states
         radius *= CAP_SHRINK
     raise RuntimeError(
-        f"failed to draw an admissible cap after {max_attempts} attempts "
+        f"failed to draw an admissible cap after {CAP_MAX_ATTEMPTS} attempts "
         f"(threshold {threshold:g})"
     )
 

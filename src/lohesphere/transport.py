@@ -276,7 +276,9 @@ def wasserstein_general(
 
     Solves the transport linear program with HiGHS (dual simplex over the
     sparse marginal constraints); returns the distance and the optimal plan.
-    Supports up to 512 atoms per side.
+    HiGHS must meet the constraints to the plan's marginal tolerance, 1e-10:
+    at its default of 1e-7, plans at 256 atoms and up can miss it.  Supports
+    up to 512 atoms per side.
     """
     p = _check_p(p)
     n, m = mu.n_atoms, nu.n_atoms
@@ -299,7 +301,14 @@ def wasserstein_general(
     ).tocsc()
     b_eq = np.concatenate([mu.weights, nu.weights])
 
-    res = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        objective,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": TransportPlan.MARGINAL_TOL},
+    )
     if not res.success:
         raise RuntimeError(f"transport linear program failed: {res.message}")
     coupling = np.clip(res.x.reshape(n, m), 0.0, None)

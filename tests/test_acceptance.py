@@ -113,7 +113,7 @@ def test_c03_order_parameter_calculus():
         )
         r2 = series.column("R2")
         worst_step = min(worst_step, float(np.min(np.diff(r2))))
-        for k in (0, len(traj) // 2, len(traj) - 1):
+        for k in (0, len(traj.times) // 2, len(traj.times) - 1):
             snap = traj.snapshots[k]
             analytic = mu_rate(snap)
             fd = fd_r_squared_rate(ens.replace_states(snap), h=1e-3)

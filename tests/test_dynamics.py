@@ -154,7 +154,7 @@ def _blocked_rhs(ens, rows):
 @given(rhs_cases())
 def test_rhs_permutation_equivariant_across_blocks(case):
     _, ens, rows, rng = case
-    perm = rng.permutation(ens.n_particles)
+    perm = rng.permutation(ens.states.shape[0])
     permuted = Ensemble(ens.states[perm], ens.frequencies[perm], ens.params)
     np.testing.assert_allclose(
         _blocked_rhs(permuted, rows), _blocked_rhs(ens, rows)[perm], rtol=0, atol=1e-13
@@ -167,7 +167,7 @@ def test_rhs_covariant_under_unitaries_commuting_with_omega(case, s):
     # the coupling is covariant under every common unitary U, the free flow
     # under those that commute with each Omega_j
     mode, ens, rows, rng = case
-    d = ens.dim
+    d = ens.states.shape[1]
     if mode == "zero":
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u = np.linalg.qr(g)[0]

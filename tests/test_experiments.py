@@ -7,6 +7,7 @@ from lohesphere import experiments
 from lohesphere.dynamics import CouplingParams, Ensemble
 from lohesphere.experiments import (
     DEFAULTS,
+    CheckResult,
     ConfigError,
     ExperimentConfig,
     run_e1,
@@ -22,8 +23,18 @@ from lohesphere.observables import (
     lp_distance,
     order_parameter,
 )
-from lohesphere.sampling import random_frequencies, random_sphere_states, sample_admissible
-from lohesphere.transport import EmpiricalMeasure, wasserstein_uniform, wasserstein_uniform_nested
+from lohesphere.sampling import (
+    admissible_threshold,
+    random_frequencies,
+    random_sphere_states,
+    sample_admissible,
+)
+from lohesphere.transport import (
+    EmpiricalMeasure,
+    wasserstein_nested_track,
+    wasserstein_uniform,
+    wasserstein_uniform_nested,
+)
 
 # small overrides that keep each experiment's logic intact but quick
 SMALL = {
@@ -95,8 +106,9 @@ def test_pair_and_nested_tracks_equal_direct_distances():
     def w_p(a, b, p):
         return wasserstein_uniform(EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b), p)
 
-    for distance in (lp_distance, w_p):  # e2's and e4's comparisons
-        times, tracks = experiments._pair_tracks(ens_a, ens_b, icfg, (1.0, 2.0), distance)
+    # e2's and e4's comparisons: each track callback against its per-snapshot distance
+    for track, distance in ((lp_distance, lp_distance), (wasserstein_nested_track, w_p)):
+        times, tracks = experiments._pair_tracks(ens_a, ens_b, icfg, (1.0, 2.0), track)
         assert len(times) == len(snaps_a) == 5
         for p in (1.0, 2.0):
             assert tracks[p].tolist() == [distance(a, b, p) for a, b in zip(snaps_a, snaps_b)]
@@ -115,6 +127,34 @@ def test_pair_and_nested_tracks_equal_direct_distances():
                 wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])
             ]
             assert tracks[(small, big)].tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "comparator, observed, limit, tolerance, passed",
+    [
+        ("<=", 1.0, 1.0, 0.0, True),
+        ("<=", np.nextafter(1.0, 2.0), 1.0, 0.0, False),
+        ("<=", 1.5, 1.0, 0.5, True),
+        ("<=", np.nextafter(1.5, 2.0), 1.0, 0.5, False),
+        (">=", 1.0, 1.0, 0.0, True),
+        (">=", np.nextafter(1.0, 0.0), 1.0, 0.0, False),
+        (">=", 0.5, 1.0, 0.5, True),
+        (">=", np.nextafter(0.5, 0.0), 1.0, 0.5, False),
+        ("<=", np.nan, 1.0, 1.0, False),
+        (">=", np.nan, 1.0, 1.0, False),
+    ],
+)
+def test_check_result_judges_its_own_numbers(comparator, observed, limit, tolerance, passed):
+    check = CheckResult("bound", np.float64(observed), limit, tolerance, comparator=comparator)
+    assert check.passed is passed
+    assert all(type(x) is float for x in (check.observed, check.limit, check.tolerance))
+    with pytest.raises(TypeError):
+        CheckResult("bound", observed, limit, tolerance, comparator=comparator, passed=True)
+
+
+def test_check_result_rejects_unknown_comparator():
+    with pytest.raises(ValueError, match="unknown comparator"):
+        CheckResult("bound", 0.0, 1.0, 0.0, comparator="<")
 
 
 def test_unknown_experiment_rejected():
@@ -192,6 +232,17 @@ def test_e3_sup_series_nonincreasing():
     assert all(v > 0 for v in seconds.values())
 
 
+def test_e2_runs_without_p2_among_its_orders():
+    # the grid-density cross-check reads the p = 2 track whatever p_values holds
+    report = run_experiment(
+        {"experiment": "e2", "n": 6, "n_seeds": 1, "p_values": [1.0], "t_long": 2.0,
+         "t_mid": 1.0, "n_samples": 20}
+    )
+    names = [c.name for c in report.checks if c.name.startswith("lp_bound")]
+    assert names == ["lp_bound_T1_p1", "lp_bound_T2_p1"]
+    assert any(c.name == "grid_density_cross_check" for c in report.checks)
+
+
 def test_e5_negative_kappa1_boundary():
     # kappa0 + 2 kappa1 = 0: monotonicity must survive on the boundary
     report = run_experiment(
@@ -207,6 +258,32 @@ def test_e5_negative_kappa1_boundary():
     )
     r2_check = next(c for c in report.checks if c.name == "r_squared_nondecreasing")
     assert r2_check.passed
+
+
+@pytest.mark.parametrize(
+    "kappa1, delta",
+    [
+        (0.49, 0.01),
+        (0.5, 0.01),
+        (-0.49, 0.01),
+        (-0.5, 0.01),
+        (0.25, 0.49),
+        (0.25, 0.5),
+        (0.25, 0.51),
+    ],
+)
+def test_e5_decays_the_defect_exactly_on_admissible_configs(kappa1, delta):
+    # just inside and just outside |kappa1| < kappa0 / 2 and 0 < delta < 1 - 2 |kappa1| / kappa0
+    try:
+        admissible_threshold(1.0, kappa1, delta)
+        admissible = True
+    except ValueError:
+        admissible = False
+    report = run_experiment(
+        {"experiment": "e5", "n": 6, "kappa1": kappa1, "delta": delta, "t_end": 0.5,
+         "n_samples": 10}
+    )
+    assert any(c.name == "defect_decay" for c in report.checks) == admissible
 
 
 def test_e5_rejects_gains_outside_aligned_regime():

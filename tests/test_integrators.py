@@ -62,7 +62,7 @@ def test_integrate_zero_horizon_returns_initial_state():
     rng = np.random.default_rng(1)
     ens = Ensemble.zero_frequency(random_sphere_states(rng, 4, 3), PARAMS)
     traj, series = integrate(ens, IntegratorConfig(t_end=0.0))
-    assert len(traj) == 1
+    assert len(traj.times) == 1
     assert traj.times[0] == 0.0
     np.testing.assert_array_equal(traj.snapshots[0], ens.states)
     assert len(series.times) == 1
@@ -166,7 +166,7 @@ def test_split_transform_solves_zero_frequency_system():
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.2, dt=1e-3, record_every=1))
     split = split_transform(traj, omega)
     worst = 0.0
-    for k in range(1, len(split) - 1):
+    for k in range(1, len(split.times) - 1):
         h = split.times[k + 1] - split.times[k]
         w_dot = (split.snapshots[k + 1] - split.snapshots[k - 1]) / (2.0 * h)
         residual = w_dot - lhs_rhs(Ensemble.zero_frequency(split.snapshots[k], PARAMS))

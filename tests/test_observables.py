@@ -311,6 +311,28 @@ def test_lp_distance_p2_is_frobenius():
     assert lp_distance(a, b, 2.0) == pytest.approx(frob, rel=1e-14)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 64),
+    st.sampled_from([1.0, 1.5, 2.0, 3.3, 4.0]),
+    st.sampled_from([1e-8, 1e-3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lp_distance_on_stacks_equals_each_snapshot(d, t, n, p, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = random_sphere_states(rng, t * n, d)
+    b = jitter_states(rng, a, scale).reshape(t, n, d)
+    a = a.reshape(t, n, d)
+    track = lp_distance(a, b, p)
+    assert track.shape == (t,)
+    assert track.tolist() == [lp_distance(x, y, p) for x, y in zip(a, b)]
+    assert track.tolist() == [
+        float(np.sum(np.linalg.norm(x - y, axis=1) ** p) ** (1.0 / p)) for x, y in zip(a, b)
+    ]
+
+
 def test_lp_distance_validation():
     with pytest.raises(ValueError, match="mismatch"):
         lp_distance(np.ones((2, 2), complex), np.ones((3, 2), complex), 2.0)

@@ -10,7 +10,12 @@ from scipy.optimize import linear_sum_assignment
 
 from lohesphere import transport
 from lohesphere.observables import lp_distance
-from lohesphere.sampling import random_skew_hermitian, random_sphere_states
+from lohesphere.sampling import (
+    admissible_cap_states,
+    admissible_threshold,
+    random_skew_hermitian,
+    random_sphere_states,
+)
 from lohesphere.transport import (
     EmpiricalMeasure,
     SupportSizeError,
@@ -115,6 +120,22 @@ def test_general_agrees_with_assignment():
         # marginal feasibility and cost consistency
         np.testing.assert_allclose(plan.coupling.sum(axis=1), mu.weights, atol=1e-10)
         np.testing.assert_allclose(plan.coupling.sum(axis=0), nu.weights, atol=1e-10)
+
+
+def test_weighted_lp_at_256_atoms_meets_its_marginals():
+    # the measures benchmark's setup at seed 804: with HiGHS's default
+    # feasibility tolerance this plan missed its marginals by 5.6e-8
+    rng = np.random.default_rng(804)
+    states = admissible_cap_states(rng, 1024, 4, admissible_threshold(1.0, 0.1, 0.3))
+    random_skew_hermitian(rng, 4, 0.5)  # the recipe's frequency draw precedes the weights
+    weights = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))) for n in (64, 256)]
+    mu = EmpiricalMeasure(states[:256], weights[1][0])
+    nu = EmpiricalMeasure(states[256:512], weights[1][1])
+    dist, plan = wasserstein_general(mu, nu, 2.0)
+    tol = transport.TransportPlan.MARGINAL_TOL
+    assert np.max(np.abs(plan.coupling.sum(axis=1) - mu.weights)) <= tol
+    assert np.max(np.abs(plan.coupling.sum(axis=0) - nu.weights)) <= tol
+    assert 0.0 < dist <= 2.0
 
 
 def test_nested_solver_is_exact():
