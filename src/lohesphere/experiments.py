@@ -833,9 +833,13 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     decays by six orders at t_end, (d) ||dJ/dt|| stays below 2 (kappa0 +
     kappa1) at every sample, and reports the observed bound on the second
     difference of R^2 (its theoretical constant is never pinned down).
+    These claims are stated for zero or common frequency, so heterogeneous
+    frequencies are a config error.
     """
     if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
         raise ConfigError("e5 requires kappa0 > 0 and kappa0 + 2 kappa1 >= 0")
+    if cfg.heterogeneous and cfg.omega_scale > 0:
+        raise ConfigError("e5 requires zero or common frequency, not heterogeneous")
     # the defect-decay claim needs admissible data; monotonicity, the rate
     # identity and the dJ/dt bound hold for any data in the aligned regime
     # (including the boundary kappa1 = -kappa0/2, where no cap is admissible)

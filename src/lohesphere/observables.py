@@ -48,6 +48,11 @@ __all__ = [
 #: block and its real temporaries stay in L2
 PAIR_BLOCK = 2**15
 
+#: m n k of the smallest complex product OpenBLAS hands to its thread pool.
+#: It is an OpenBLAS build setting (GEMM_MULTITHREAD_THRESHOLD), here as
+#: measured on OpenBLAS 0.3.31, not a numpy contract.
+BLAS_THREADED_SIZE = 2**16
+
 
 def _as_ensemble(states) -> NDArray[np.complexfloating]:
     states = np.asarray(states, dtype=np.complex128)
@@ -73,10 +78,18 @@ def pair_extremes(states) -> tuple[float, float]:
     another shape (a block's own small Gram; one row, which numpy computes
     as a matrix-vector product; half a Gram, as ``conj(s) @ s.T`` from BLAS
     is not bitwise Hermitian) can differ from the full Gram in the last bit.
+
+    A scan of one or two ``PAIR_BLOCK`` blocks (N <= 312) is cut into blocks
+    below ``BLAS_THREADED_SIZE`` instead: in some processes a lone threaded
+    product after idle time stalls for about 16 ms.  Back-to-back products
+    of a longer scan do not, and run faster in the larger blocks.
     """
     states = _as_ensemble(states)
-    n = states.shape[0]
+    n, d = states.shape
     n_blocks = max(1, n // max(2, PAIR_BLOCK // n))
+    if n_blocks <= 2:
+        cap = max(1, (BLAS_THREADED_SIZE - 1) // (n * d))
+        n_blocks = max(1, min(n // 2, -(-n // cap)))
     edges = [n * k // n_blocks for k in range(n_blocks + 1)]
     blocks = list(zip(edges, edges[1:]))
     rows = -(-n // n_blocks)

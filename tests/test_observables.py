@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lohesphere import observables
@@ -97,12 +97,24 @@ def ensembles(draw, near_consensus=False):
     return states, n_consensus == n
 
 
+def _edge_ensemble(n, d):
+    return random_sphere_states(np.random.default_rng(n * d), n, d), False
+
+
 @settings(max_examples=200, deadline=None)
-@given(ensembles(near_consensus=True), st.integers(1, 5))
+@given(ensembles(near_consensus=True), st.none() | st.integers(1, 5))
+# the library's own blocks (rows None) at the edges of their rule: a single
+# (128, 4) x (4, 128) product would reach BLAS_THREADED_SIZE, and 312 atoms
+# are the last scan cut below it while 313 keep their PAIR_BLOCK blocks
+@example(_edge_ensemble(128, 4), None)
+@example(_edge_ensemble(256, 4), None)
+@example(_edge_ensemble(312, 4), None)
+@example(_edge_ensemble(313, 4), None)
 def test_pair_scan_in_small_blocks_equals_unblocked_formula(ensemble, rows):
     states, consensus = ensemble
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(observables, "PAIR_BLOCK", rows * states.shape[0])
+        if rows is not None:
+            mp.setattr(observables, "PAIR_BLOCK", rows * states.shape[0])
         f, g = pair_extremes(states)
     assert (f, g) == _unblocked_pair_extremes(states)
     assert (f, g) == pair_extremes(states)

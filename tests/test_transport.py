@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from lohesphere import transport
 from lohesphere.observables import lp_distance
@@ -136,6 +136,117 @@ def test_weighted_lp_at_256_atoms_meets_its_marginals():
     assert np.max(np.abs(plan.coupling.sum(axis=1) - mu.weights)) <= tol
     assert np.max(np.abs(plan.coupling.sum(axis=0) - nu.weights)) <= tol
     assert 0.0 < dist <= 2.0
+
+
+def _dense_lp_distance(mu, nu, p):
+    """Reference W_p: the transport LP on all n m arcs, solved by HiGHS as given."""
+    n, m = mu.n_atoms, nu.n_atoms
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m : (i + 1) * m] = 1.0
+        a_eq[n : n + m, i * m : (i + 1) * m] = np.eye(m)
+    cost = transport._cost_matrix(mu, nu)
+    res = linprog(
+        (cost**p).ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([mu.weights, nu.weights]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": transport.TransportPlan.MARGINAL_TOL},
+    )
+    assert res.success, res.message
+    return float(np.sum(np.clip(res.x, 0.0, None) * (cost**p).ravel()) ** (1.0 / p))
+
+
+def _test_weights(rng, n, kind):
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    w = rng.dirichlet(np.ones(n))
+    if kind != "dirichlet" and n > 1:
+        # exact zeros, or the round-off negatives EmpiricalMeasure accepts
+        picked = rng.choice(n, size=rng.integers(1, n), replace=False)
+        w[picked] = 0.0 if kind == "zeros" else -rng.uniform(0.0, 1e-12, size=len(picked))
+        w[np.setdiff1d(np.arange(n), picked)[0]] += 1.0 - np.sum(w)
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 48),
+    st.integers(1, 48),
+    st.sampled_from(["uniform", "dirichlet", "zeros", "negative"]),
+    st.sampled_from(["uniform", "dirichlet", "zeros", "negative"]),
+    st.sampled_from([1.0, 2.0, 3.0]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 3, transport.ARCS_PER_LINE]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sparse_lp_equals_dense_lp(n, m, kind_a, kind_b, p, d, duplicated, tagged, arcs, seed):
+    rng = np.random.default_rng(seed)
+    if duplicated:
+        # atoms and tags from a small pool: ties, and atoms shared by both measures
+        pool, tag_pool = random_sphere_states(rng, 3, d), _skew_stack(rng, 3, d)
+        pick_a, pick_b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=m)
+        atoms_a, atoms_b = pool[pick_a], pool[pick_b]
+        tags_a, tags_b = tag_pool[pick_a], tag_pool[pick_b]
+    else:
+        atoms_a, atoms_b = random_sphere_states(rng, n, d), random_sphere_states(rng, m, d)
+        tags_a, tags_b = _skew_stack(rng, n, d), _skew_stack(rng, m, d)
+    mu = EmpiricalMeasure(atoms_a, _test_weights(rng, n, kind_a), tags_a if tagged else None)
+    nu = EmpiricalMeasure(atoms_b, _test_weights(rng, m, kind_b), tags_b if tagged else None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "ARCS_PER_LINE", arcs)
+        dist, plan = wasserstein_general(mu, nu, p)
+    expected = _dense_lp_distance(mu, nu, p)
+    # a negative weight leaves the program infeasible by its size, within
+    # HiGHS's tolerance, and two solves may put that mass on different arcs
+    slack = np.sum(np.clip(-mu.weights, 0.0, None)) + np.sum(np.clip(-nu.weights, 0.0, None))
+    if slack == 0.0:
+        assert dist == pytest.approx(expected, rel=0.0, abs=1e-12)
+    else:
+        bound = 1e-12 + 2.0 * slack * np.max(transport._cost_matrix(mu, nu) ** p)
+        assert dist**p == pytest.approx(expected**p, rel=0.0, abs=bound)
+    assert np.max(np.abs(plan.coupling.sum(axis=1) - mu.weights)) <= 1e-10
+    assert np.max(np.abs(plan.coupling.sum(axis=0) - nu.weights)) <= 1e-10
+    assert np.min(plan.coupling) >= 0.0
+
+
+def test_sparse_lp_prices_arcs_the_first_set_misses(monkeypatch):
+    # Two heavy sources A and B far from a cluster of 64 targets must split
+    # them between them, while 62 massless sources sit inside the cluster.
+    # Every column's 32 cheapest arcs come from the massless sources, each
+    # heavy row's 32 cheapest follow the first tilt of the cluster, and the
+    # optimal split follows the second, so the first arc set misses part of
+    # the optimal plan and pricing has to add it.
+    rng = np.random.default_rng(21)
+    n = 64
+    e1, e2, e3 = np.eye(3, dtype=complex)
+    heavy = np.stack([e1 + e2, e1 - e2]) / np.sqrt(2.0)
+    tilt = rng.uniform(-3.0, 3.0, size=(n, 1)) * e1 + rng.uniform(-1.0, 1.0, size=(n, 1)) * e2
+    targets = e3 + 0.05 * tilt
+    massless = e3 + 0.05 * rng.uniform(-1.0, 1.0, size=(n - 2, 3))
+    sources = np.concatenate([massless[: n // 2], heavy, massless[n // 2 :]])
+    sources /= np.linalg.norm(sources, axis=1, keepdims=True)
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    weights = np.zeros(n)
+    weights[n // 2 : n // 2 + 2] = 0.5
+    mu, nu = EmpiricalMeasure(sources, weights), _uniform(targets)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(len(args[0]))
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", counted)
+    for p in (1.0, 2.0, 3.0):
+        solves.clear()
+        dist, plan = wasserstein_general(mu, nu, p)
+        assert len(solves) >= 2, p
+        assert solves[0] < n * n
+        assert dist == pytest.approx(_dense_lp_distance(mu, nu, p), rel=0.0, abs=1e-12)
+        assert np.max(np.abs(plan.coupling.sum(axis=0) - nu.weights)) <= 1e-10
 
 
 def test_nested_solver_is_exact():
