@@ -19,7 +19,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib.metadata
 import json
+import os
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +71,22 @@ def _config_hash(raw: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _environment() -> dict:
+    """Versions, BLAS build and thread settings of this process.
+
+    The scipy version comes from the package metadata, so a run that never
+    solved a transport problem does not load scipy to write its manifest.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "blas": np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}),
+        "num_threads_env": {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir: Path, command: str, config_path: str, raw: dict, artifacts) -> None:
     manifest = {
         "command": command,
@@ -76,6 +95,7 @@ def _write_manifest(out_dir: Path, command: str, config_path: str, raw: dict, ar
         "version": __version__,
         "out_dir": str(out_dir),
         "artifacts": sorted(str(a.relative_to(out_dir)) for a in artifacts),
+        "environment": _environment(),
     }
     path = out_dir / "manifest.json"
     with open(path, "w", encoding="utf-8") as fh:

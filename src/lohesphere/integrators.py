@@ -12,6 +12,7 @@ with a diagnostic naming the step, t and the particle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -51,12 +52,20 @@ class IntegratorConfig:
     unit_drift_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not 0 <= self.unit_drift_tol < math.inf:
+            raise ValueError(
+                f"unit_drift_tol must be finite and nonnegative, got {self.unit_drift_tol}"
+            )
+        try:
+            record_every = operator.index(self.record_every)
+        except TypeError:
+            record_every = 0
+        if record_every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {self.record_every!r}")
 
     @property
     def n_steps(self) -> int:

@@ -139,7 +139,7 @@ def functional_G(states) -> float:
 def j_vector(measure: EmpiricalMeasure) -> NDArray[np.complexfloating]:
     """Weighted first moment ``sum_j w_j z_j`` of an atomic measure."""
     total = float(np.sum(measure.weights))
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"measure weights must sum to 1, got {total!r}")
     return measure.weights @ measure.atoms
 

@@ -18,6 +18,9 @@ cross-checking the solvers at small N.  Costs are summed in row blocks
 through ``geometry.row_sum``, bit for bit the full reduction.  Along a track
 of nested snapshots (:func:`wasserstein_nested_track`) atoms and tags are
 checked once, and the tag cost, constant in time, is computed once.
+
+scipy's solvers are imported on first use, so a process that never solves
+a transport problem (``simulate``, e1, e2, e5, e7) never loads scipy.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .geometry import as_skew_hermitian, check_unit_rows, row_sum
 
@@ -56,6 +57,20 @@ COST_BLOCK = 2**15
 #: arcs per row and per column that start the transport LP's arc set, and
 #: that each pricing round adds
 ARCS_PER_LINE = 32
+
+
+def linear_sum_assignment(cost_matrix):
+    """``scipy.optimize.linear_sum_assignment``, imported on first call."""
+    from scipy import optimize
+
+    return optimize.linear_sum_assignment(cost_matrix)
+
+
+def linprog(c, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call."""
+    from scipy import optimize
+
+    return optimize.linprog(c, **kwargs)
 
 
 class SupportSizeError(ValueError):
@@ -88,9 +103,9 @@ class EmpiricalMeasure:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if self.weights.shape != (n,):
                 raise ValueError("weights must have one entry per atom")
-            if np.min(self.weights) < -WEIGHT_TOL:
-                raise ValueError("weights must be nonnegative")
-            if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_TOL:
+            if not np.min(self.weights) >= -WEIGHT_TOL:
+                raise ValueError("weights must be finite and nonnegative")
+            if not abs(float(np.sum(self.weights)) - 1.0) <= WEIGHT_TOL:
                 raise ValueError("weights must sum to 1")
         if self.frequencies is not None:
             self.frequencies = _as_tags(self.frequencies, self.atoms.shape)
@@ -124,13 +139,12 @@ class TransportPlan:
 
     def __post_init__(self) -> None:
         self.coupling = np.asarray(self.coupling, dtype=np.float64)
-        row_err = float(np.max(np.abs(self.coupling.sum(axis=1) - self.source_weights)))
-        col_err = float(np.max(np.abs(self.coupling.sum(axis=0) - self.target_weights)))
-        if max(row_err, col_err) > self.MARGINAL_TOL:
-            raise ValueError(
-                f"transport plan marginals are off by {max(row_err, col_err):g}"
-            )
-        if float(np.min(self.coupling)) < -self.MARGINAL_TOL:
+        row_err = np.max(np.abs(self.coupling.sum(axis=1) - self.source_weights))
+        col_err = np.max(np.abs(self.coupling.sum(axis=0) - self.target_weights))
+        err = float(np.maximum(row_err, col_err))  # NaN-propagating, unlike max()
+        if not err <= self.MARGINAL_TOL:
+            raise ValueError(f"transport plan marginals are off by {err:g}")
+        if not float(np.min(self.coupling)) >= -self.MARGINAL_TOL:
             raise ValueError("transport plan has negative mass")
 
     def cost(self, cost_matrix: NDArray[np.floating]) -> float:
@@ -293,6 +307,8 @@ def wasserstein_general(
     tolerance, 1e-10.  Returns the distance and the optimal plan.  Supports
     up to 512 atoms per side.
     """
+    from scipy import sparse
+
     p = _check_p(p)
     n, m = mu.n_atoms, nu.n_atoms
     if max(n, m) > MAX_SUPPORT:

@@ -4,7 +4,9 @@ import csv
 import json
 import re
 
+import numpy as np
 import pytest
+import scipy
 
 from lohesphere.cli import EXIT_ASSERTION, EXIT_PASS, EXIT_USAGE, main
 
@@ -32,6 +34,11 @@ def test_simulate_writes_csv_and_manifest(tmp_path, sim_config):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["artifacts"] == ["simulate_observables.csv"]
     assert len(manifest["config_sha256"]) == 64
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "num_threads_env", "cpu_count"}
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert isinstance(env["blas"], dict)
+    assert all(key.endswith("_NUM_THREADS") for key in env["num_threads_env"])
     header = csv_path.read_text().split("\n", 1)[0]
     assert header.startswith("time,")
 

@@ -94,10 +94,12 @@ def test_drift_violation_raises_with_diagnostic():
     ens = Ensemble.with_common_frequency(states, omega, PARAMS)
     with pytest.raises(IntegrationError, match=r"drift .* at step \d+ \(t = .*, particle \d+\)"):
         integrate(ens, IntegratorConfig(t_end=10.0, dt=0.9, unit_drift_tol=1e-10))
-    # an overflowing step is named the same way, even with the drift check off
+    # an overflowing step is named the same way, even under a drift tolerance
+    # that no finite drift exceeds
     huge = Ensemble.zero_frequency(states, CouplingParams(1e308, 0.0))
+    lax = np.finfo(float).max
     with np.errstate(all="ignore"), pytest.raises(IntegrationError, match=r"non-finite .*particle"):
-        integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10, unit_drift_tol=np.inf))
+        integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10, unit_drift_tol=lax))
 
 
 def test_reversed_time_consistency():
@@ -196,6 +198,31 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=-1.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"dt": np.inf}, "dt"),
+        ({"dt": np.nan}, "dt"),
+        ({"t_end": np.inf}, "t_end"),
+        ({"t_end": np.nan}, "t_end"),
+        ({"unit_drift_tol": np.nan}, "unit_drift_tol"),
+        ({"unit_drift_tol": np.inf}, "unit_drift_tol"),
+        ({"record_every": 2.5}, "record_every"),
+        ({"record_every": 0}, "record_every"),
+        ({"record_every": np.int64(3)}, None),
+    ],
+)
+def test_integrator_config_rejects_values_that_break_a_run(kwargs, field):
+    # each rejected value used to run 0 steps, switch the drift check off or
+    # fail only inside integrate with an error that names no field
+    config = {"t_end": 1.0, **kwargs}
+    if field is None:
+        assert IntegratorConfig(**config).n_steps == 1000
+    else:
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**config)
 
 
 def _reference_rhs(ens, states):

@@ -201,9 +201,10 @@ def test_j_vector_and_order_parameter():
 
 def test_j_vector_rejects_bad_weights():
     mu = EmpiricalMeasure.uniform(np.stack([E1, E2]))
-    mu.weights = np.array([0.7, 0.6])
-    with pytest.raises(ValueError, match="sum to 1"):
-        j_vector(mu)
+    for weights in ([0.7, 0.6], [0.5, np.nan]):
+        mu.weights = np.array(weights)
+        with pytest.raises(ValueError, match="sum to 1"):
+            j_vector(mu)
 
 
 def test_r_squared_rate_trivial_cases():

@@ -1,4 +1,11 @@
-"""Public surface: every module star-imports and every package export resolves."""
+"""Public surface: every module star-imports, every package export resolves,
+and scipy loads only with the first transport solve."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +33,67 @@ def test_star_import(module):
 def test_package_exports_resolve():
     missing = [name for name in lohesphere.__all__ if not hasattr(lohesphere, name)]
     assert missing == []
+
+
+# Runs in a fresh interpreter: which scipy modules a workflow loads.
+_SCIPY_LOADED = """
+import sys
+def scipy_loaded():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+"""
+
+_NO_TRANSPORT = _SCIPY_LOADED + """
+import json
+import lohesphere
+stages = {"import lohesphere": scipy_loaded()}
+from lohesphere import cli, experiments
+config, out = sys.argv[1:]
+assert cli.main(["simulate", "--config", config, "--out", out]) == 0
+stages["simulate"] = scipy_loaded()
+report = experiments.run_experiment(
+    {"experiment": "e1", "n": 6, "t_end": 1.0, "n_samples": 20}
+)
+assert report.passed
+stages["e1"] = scipy_loaded()
+print(json.dumps(stages))
+"""
+
+_TRANSPORT = _SCIPY_LOADED + """
+import numpy as np
+from lohesphere import transport
+from lohesphere.sampling import random_sphere_states
+assert scipy_loaded() == []
+rng = np.random.default_rng(3)
+mu = transport.EmpiricalMeasure.uniform(random_sphere_states(rng, 5, 3))
+nu = transport.EmpiricalMeasure.uniform(random_sphere_states(rng, 5, 3))
+exact = transport.wasserstein_bruteforce(mu, nu)
+assert abs(transport.wasserstein_uniform_nested(mu, nu) - exact) <= 1e-12
+assert "scipy.optimize" in sys.modules
+assert abs(transport.wasserstein_general(mu, nu)[0] - exact) <= 1e-12
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def _run_fresh(script, *args):
+    src = str(Path(lohesphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_runs_without_transport_never_load_scipy(tmp_path):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n": 6, "d": 3, "t_end": 0.5, "n_samples": 20}))
+    stages = json.loads(_run_fresh(_NO_TRANSPORT, str(config), str(tmp_path / "out")))
+    assert stages == {"import lohesphere": [], "simulate": [], "e1": []}
+
+
+def test_transport_solvers_load_scipy_on_first_use():
+    _run_fresh(_TRANSPORT)

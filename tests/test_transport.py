@@ -401,6 +401,30 @@ def test_measure_validation():
         EmpiricalMeasure(atoms=atoms, weights=np.array([0.7, 0.6]))
     with pytest.raises(ValueError, match="nonnegative"):
         EmpiricalMeasure(atoms=atoms, weights=np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalMeasure(atoms=np.stack([E1, E2, E1]), weights=[0.5, np.nan, 0.5])
+
+
+@pytest.mark.parametrize(
+    "coupling, source, match",
+    [
+        ([[0.5, 0.0], [0.0, 0.5]], [0.5, 0.5], None),
+        ([[0.5, np.nan], [0.0, 0.5]], [0.5, 0.5], "marginals"),
+        ([[0.5, 0.0], [0.0, 0.5]], [0.5, np.nan], "marginals"),
+        ([[0.6, 0.0], [0.0, 0.5]], [0.6, 0.5], "marginals"),
+        ([[0.6, -0.1], [-0.1, 0.6]], [0.5, 0.5], "negative"),
+    ],
+    ids=["valid", "nan_entry", "nan_source_weight", "off_column_sum", "negative_entry"],
+)
+def test_transport_plan_checks_marginals_and_mass(coupling, source, match):
+    def plan():
+        return transport.TransportPlan(coupling, np.array(source), np.array([0.5, 0.5]), 2.0)
+
+    if match is None:
+        plan()
+    else:
+        with pytest.raises(ValueError, match=match):
+            plan()
 
 
 def _skew_stack(rng, n, d, scale=1.0):
