@@ -147,9 +147,17 @@ def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
         ens = Ensemble(states, freqs, params)
 
     observers = standard_observers(params, with_dj=False)
+    last: dict = {}
+
+    def centroid(s):
+        # once per record, matched by identity as in standard_observers
+        if last.get("states") is not s:
+            last.update(states=s, j=s.mean(axis=0))
+        return last["j"]
+
     for k in range(cfg.d):
-        observers[f"j_re_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].real)
-        observers[f"j_im_{k}"] = lambda t, s, k=k: float(s.mean(axis=0)[k].imag)
+        observers[f"j_re_{k}"] = lambda t, s, k=k: float(centroid(s)[k].real)
+        observers[f"j_im_{k}"] = lambda t, s, k=k: float(centroid(s)[k].imag)
     _, series = integrate(ens, _integrator_config(cfg), observers)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -64,8 +64,8 @@ class CouplingParams:
 class Ensemble:
     """Full phase-space configuration: N unit states, N frequencies, couplings.
 
-    states has shape (N, d) complex; frequencies is stored as (N, d, d)
-    (a single (d, d) matrix is broadcast to all particles).  The
+    states has shape (N, d) complex; frequencies is an (N, d, d) array (a
+    single (d, d) matrix is stored once, as a read-only broadcast view).  The
     ``homogeneous`` flag records whether all frequency matrices agree to
     Frobenius tolerance 1e-12 and is validated at construction.
     """
@@ -87,9 +87,10 @@ class Ensemble:
         as_skew_hermitian(frequencies)
         self._omega_zero = bool(np.max(np.abs(frequencies)) == 0.0)
         if frequencies.ndim == 2:
-            # one common matrix, checked before it is copied to every particle
+            # one common matrix, checked once and stored once: every particle
+            # reads it through a read-only view with stride 0 on the particle axis
             self.homogeneous = True
-            frequencies = np.broadcast_to(frequencies, (n, d, d)).copy()
+            frequencies = np.broadcast_to(frequencies, (n, d, d))
         else:
             spread = np.linalg.norm(frequencies - frequencies[0], axis=(1, 2))
             self.homogeneous = bool(np.max(spread) <= HOMOGENEOUS_TOL)

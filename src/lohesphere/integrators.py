@@ -56,6 +56,13 @@ class IntegratorConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        # 2**63 steps overflow a numpy index, and an infinite t_end / dt
+        # would fail in round() with no field named
+        if not self.t_end / self.dt < 2.0**63:
+            raise ValueError(
+                "t_end / dt must be below 2**63 steps, "
+                f"got t_end = {self.t_end!r} and dt = {self.dt!r}"
+            )
         if not 0 <= self.unit_drift_tol < math.inf:
             raise ValueError(
                 f"unit_drift_tol must be finite and nonnegative, got {self.unit_drift_tol}"

@@ -377,3 +377,19 @@ def test_homogeneous_flag():
     assert not mixed.homogeneous
     with pytest.raises(ValueError, match="heterogeneous"):
         _ = mixed.common_frequency
+
+
+def test_common_frequency_is_stored_once():
+    rng = np.random.default_rng(15)
+    states = random_sphere_states(rng, 5, 3)
+    omega = random_skew_hermitian(rng, 3, 1.0)
+    for ens, matrix in (
+        (Ensemble.with_common_frequency(states, omega, PARAMS), omega),
+        (Ensemble.zero_frequency(states, PARAMS), np.zeros((3, 3))),
+    ):
+        assert ens.frequencies.shape == (5, 3, 3)
+        assert ens.frequencies.strides[0] == 0
+        assert not ens.frequencies.flags.writeable
+        assert np.array_equal(ens.frequencies, np.broadcast_to(matrix, (5, 3, 3)))
+        with pytest.raises(ValueError, match="read-only"):
+            ens.frequencies[0, 0, 0] = 1.0

@@ -212,6 +212,8 @@ def test_integrator_config_validation():
         ({"record_every": 2.5}, "record_every"),
         ({"record_every": 0}, "record_every"),
         ({"record_every": np.int64(3)}, None),
+        ({"t_end": 1e300, "dt": 1e-10}, "t_end.*dt"),   # t_end / dt overflows to inf
+        ({"t_end": 1e10, "dt": 1e-10}, "t_end.*dt"),    # 1e20 steps, beyond a numpy index
     ],
 )
 def test_integrator_config_rejects_values_that_break_a_run(kwargs, field):

@@ -1,11 +1,13 @@
 """Wasserstein distances: assignment solver, transport LP, brute-force oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from lohesphere import transport
@@ -152,7 +154,12 @@ def _dense_lp_distance(mu, nu, p):
         b_eq=np.concatenate([mu.weights, nu.weights]),
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": transport.TransportPlan.MARGINAL_TOL},
+        # both tolerances at the sparse solve's: at HiGHS's default dual
+        # tolerance of 1e-7 an arc of cost^p below it can be left unused
+        options={
+            "primal_feasibility_tolerance": transport.TransportPlan.MARGINAL_TOL,
+            "dual_feasibility_tolerance": transport.TransportPlan.MARGINAL_TOL,
+        },
     )
     assert res.success, res.message
     return float(np.sum(np.clip(res.x, 0.0, None) * (cost**p).ravel()) ** (1.0 / p))
@@ -490,7 +497,7 @@ def _repeated_atoms_distance(small, big, p, small_tags=None, big_tags=None):
 @given(
     st.integers(1, 6),
     st.sampled_from([1, 2, 4]),
-    st.sampled_from([1.0, 2.0, 4.0]),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
     st.integers(1, 4),
     st.booleans(),
     st.integers(1, 3),
@@ -520,3 +527,112 @@ def test_nested_paths_equal_repeated_atoms(n, ratio, p, d, tagged, n_snaps, bloc
         ]
     assert track.tolist() == expected
     assert single == expected
+
+
+def _out_of_place_lp(mu, nu, p):
+    """Reference wasserstein_general: its column generation with a new array per step.
+
+    The cost is the full (n, m, d) reduction, cost^p a second array, every
+    round's reduced costs a new one, and the distance sums coupling * cost**p.
+    """
+    n, m = mu.n_atoms, nu.n_atoms
+    cost_sq = np.sum(np.abs(mu.atoms[:, None] - nu.atoms[None]) ** 2, axis=2)
+    if mu.frequencies is not None:
+        tag_diff = mu.frequencies[:, None] - nu.frequencies[None]
+        cost_sq = cost_sq + np.sum(np.abs(tag_diff) ** 2, axis=(2, 3))
+    cost = np.sqrt(cost_sq)
+    cost_p = cost**p
+    tol = transport.TransportPlan.MARGINAL_TOL
+    arcs = transport._staircase(mu.weights, nu.weights) | transport._lowest_per_line(cost_p)
+    while True:
+        rows, cols = np.nonzero(arcs)
+        size = len(rows)
+        a_eq = sparse.csc_matrix(
+            (
+                np.ones(2 * size),
+                np.column_stack([rows, n + cols]).ravel(),
+                np.arange(0, 2 * size + 1, 2),
+            ),
+            shape=(n + m, size),
+        )
+        res = linprog(
+            cost_p[rows, cols],
+            A_eq=a_eq,
+            b_eq=np.concatenate([mu.weights, nu.weights]),
+            bounds=(0, None),
+            method="highs",
+            options={
+                "presolve": False,
+                "primal_feasibility_tolerance": tol,
+                "dual_feasibility_tolerance": tol,
+            },
+        )
+        assert res.success, res.message
+        duals = res.eqlin.marginals
+        reduced = cost_p - duals[:n, None] - duals[None, n:]
+        violated = (reduced < -tol) & ~arcs
+        if not violated.any():
+            break
+        arcs |= transport._lowest_per_line(np.where(violated, reduced, np.inf)) & violated
+    coupling = np.zeros((n, m))
+    coupling[rows, cols] = np.clip(res.x, 0.0, None)
+    return float(np.sum(coupling * cost**p) ** (1.0 / p)), coupling
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 4]),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1, 3, transport.ARCS_PER_LINE]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lp_in_one_cost_buffer_equals_out_of_place_reference(
+    n, ratio, p, d, tagged, weighted, arcs, seed
+):
+    rng = np.random.default_rng(seed)
+    pool, tag_pool = random_sphere_states(rng, 3, d), _skew_stack(rng, 3, d)
+    pick_a, pick_b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=n * ratio)
+    measures = [
+        EmpiricalMeasure(
+            pool[pick],
+            rng.dirichlet(np.ones(len(pick))) if weighted else None,
+            tag_pool[pick] if tagged else None,
+        )
+        for pick in (pick_a, pick_b)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "ARCS_PER_LINE", arcs)
+        dist, plan = wasserstein_general(*measures, p)
+        expected, coupling = _out_of_place_lp(*measures, p)
+    assert dist == expected
+    assert np.array_equal(plan.coupling, coupling)
+
+
+def _traced_peak(solve) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``solve()`` runs."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "n_small, solve",
+    [(1024, wasserstein_uniform), (512, wasserstein_uniform_nested)],
+    ids=["ratio_1", "nested_512_to_1024"],
+)
+def test_assignment_holds_one_cost_matrix(n_small, solve):
+    # the (1024, 1024) float assignment matrix is 8 MiB; a second n x m cost
+    # array (squared distances, their root, the power or a repeated copy)
+    # would take the peak to 1.5 x that or more
+    rng = np.random.default_rng(18)
+    big = _uniform(random_sphere_states(rng, 1024, 3))
+    small = _uniform(random_sphere_states(rng, n_small, 3))
+    wasserstein_uniform(_uniform(big.atoms[:2]), _uniform(small.atoms[:2]))  # loads scipy
+    assert _traced_peak(lambda: solve(small, big, 2.0)) <= 1.25 * 1024 * 1024 * 8
