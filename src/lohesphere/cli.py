@@ -7,9 +7,10 @@ Usage:
     lohesphere sweep     --config cfg.json --out DIR [--seed S]
 
 Configs are JSON key-value trees.  Exit codes: 0 on success (all gating
-assertions pass), 1 on assertion failure, 2 on usage/config errors and on
-a run that diverges (an ``integration error:`` line names the step, t and
-the particle; a sweep records such a point as a failed row).  Every
+assertions pass), 1 on assertion failure, 2 on usage/config errors (a
+``t_end / dt`` of 2**63 steps or more among them) and on a run that
+diverges (an ``integration error:`` line names the step, t and the
+particle).  A sweep records a point with either error as a failed row.  Every
 emitted file is listed in a manifest; observable CSVs are byte-reproducible
 for a fixed (config, seed, version).
 """

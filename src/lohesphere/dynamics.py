@@ -17,6 +17,7 @@ sphere, which is what conserves the particle norms.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,9 +38,6 @@ __all__ = [
     "lt_rhs",
     "mean_field_velocity",
 ]
-
-#: tolerance for deciding that an ensemble's frequencies are all equal
-HOMOGENEOUS_TOL = 1e-12
 
 #: maximal imaginary part accepted by the real-restricted model
 REAL_TOL = 1e-14
@@ -64,10 +62,12 @@ class CouplingParams:
 class Ensemble:
     """Full phase-space configuration: N unit states, N frequencies, couplings.
 
-    states has shape (N, d) complex; frequencies is an (N, d, d) array (a
-    single (d, d) matrix is stored once, as a read-only broadcast view).  The
-    ``homogeneous`` flag records whether all frequency matrices agree to
-    Frobenius tolerance 1e-12 and is validated at construction.
+    states has shape (N, d) complex; frequencies is an (N, d, d) array, the
+    only form the right-hand sides read (a single (d, d) matrix is stored
+    once, as a read-only broadcast view of that shape).  ``homogeneous`` is
+    exact: True iff every frequency matrix equals the first entry by entry
+    (``==``, no tolerance).  It selects no arithmetic; it only gates
+    ``common_frequency`` and the splitting transform.
     """
 
     __slots__ = ("states", "frequencies", "params", "homogeneous", "_omega_zero")
@@ -92,8 +92,7 @@ class Ensemble:
             self.homogeneous = True
             frequencies = np.broadcast_to(frequencies, (n, d, d))
         else:
-            spread = np.linalg.norm(frequencies - frequencies[0], axis=(1, 2))
-            self.homogeneous = bool(np.max(spread) <= HOMOGENEOUS_TOL)
+            self.homogeneous = bool(np.all(frequencies == frequencies[0]))
 
         self.states = states
         self.frequencies = frequencies
@@ -102,8 +101,7 @@ class Ensemble:
     @classmethod
     def with_common_frequency(cls, states, omega, params: CouplingParams) -> "Ensemble":
         """Ensemble in which every particle shares the frequency matrix omega."""
-        states = np.asarray(states, dtype=np.complex128)
-        return cls(states, np.asarray(omega, dtype=np.complex128), params)
+        return cls(states, omega, params)
 
     @classmethod
     def zero_frequency(cls, states, params: CouplingParams) -> "Ensemble":
@@ -124,12 +122,8 @@ class Ensemble:
         Intended for the integrator hot path, where states were just
         renormalized and frequencies are untouched.
         """
-        new = object.__new__(Ensemble)
+        new = copy.copy(self)
         new.states = states
-        new.frequencies = self.frequencies
-        new.params = self.params
-        new.homogeneous = self.homogeneous
-        new._omega_zero = self._omega_zero
         return new
 
 
@@ -143,15 +137,15 @@ def _free_flow(
 ) -> NDArray[np.complexfloating]:
     """Omega_j z_j for the particles ``rows`` at ``states``, written into ``out`` if given.
 
-    The products are einsum sums of products: at its default
-    ``optimize=False`` einsum never calls BLAS, whose threaded (N, d) x (d, d)
-    product costs more to start than to compute and is not linear in N.  A
-    common frequency gives bitwise the same result on either branch.
+    One einsum for every ensemble; ``ens.homogeneous`` selects nothing here.
+    A common frequency is read through its stride-0 (N, d, d) view, which
+    gives the bits of the single-matrix ``einsum("jb,ab->ja", states, Omega)``.
+    At its default ``optimize=False`` einsum never calls BLAS, whose threaded
+    (N, d) x (d, d) product costs more to start than to compute and is not
+    linear in N.
     """
     if ens._omega_zero:
         return np.zeros_like(states)
-    if ens.homogeneous:
-        return np.einsum("jb,ab->ja", states, ens.frequencies[0], out=out)
     return np.einsum("jab,jb->ja", ens.frequencies[rows], states, out=out)
 
 
@@ -241,11 +235,7 @@ def ls_rhs(ens: Ensemble) -> NDArray[np.floating]:
     norm_sq = (x * x).sum(axis=1)
     out = ens.params.kappa0 * (norm_sq[:, None] * xc[None, :] - inner_cj[:, None] * x)
     if not ens._omega_zero:
-        omegas = ens.frequencies.real
-        if ens.homogeneous:
-            out += np.einsum("jb,ab->ja", x, omegas[0])
-        else:
-            out += np.einsum("jab,jb->ja", omegas, x)
+        out += np.einsum("jab,jb->ja", ens.frequencies.real, x)
     return out
 
 

@@ -297,10 +297,13 @@ def _jsonable(obj):
 
 
 def _integrator_config(cfg: RunConfig, t_end: float | None = None) -> IntegratorConfig:
-    t_end = cfg.t_end if t_end is None else t_end
-    n_steps = max(int(round(t_end / cfg.dt)), 1)
-    record_every = max(n_steps // (cfg.n_samples - 1), 1)
-    return IntegratorConfig(t_end=t_end, dt=cfg.dt, record_every=record_every)
+    """Stepping up to t_end (default ``cfg.t_end``) in about ``cfg.n_samples`` records;
+    a step count ``t_end / dt`` out of range is a config error."""
+    try:
+        icfg = IntegratorConfig(t_end=cfg.t_end if t_end is None else t_end, dt=cfg.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return replace(icfg, record_every=max(icfg.n_steps // (cfg.n_samples - 1), 1))
 
 
 def standard_observers(params: CouplingParams, with_dj: bool) -> dict:
@@ -575,7 +578,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(seeds[-1])
     states = random_sphere_states(rng, cfg.n, cfg.d)
     ens_a = Ensemble.zero_frequency(states, params)
-    ens_b = Ensemble.zero_frequency(states.copy(), params)
+    ens_b = Ensemble.zero_frequency(states, params)
     _, dists = _pair_tracks(ens_a, ens_b, icfg, (2.0,), lp_distance)
     checks.append(
         CheckResult(
@@ -1106,7 +1109,7 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
 
     icfg = _integrator_config(cfg)
     ens_full = Ensemble.with_common_frequency(states, omega, params)
-    ens_zero = Ensemble.zero_frequency(states.copy(), params)
+    ens_zero = Ensemble.zero_frequency(states, params)
     traj_full, series_full = integrate(ens_full, icfg, standard_observers(params, False))
     traj_zero, series_zero = integrate(ens_zero, icfg, standard_observers(params, False))
 

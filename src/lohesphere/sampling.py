@@ -59,20 +59,18 @@ def random_sphere_states(rng: np.random.Generator, n: int, d: int) -> NDArray:
     return z / row_norms(z)[:, None]
 
 
-def cap_states(
-    rng: np.random.Generator, n: int, d: int, center: NDArray, radius: float
-) -> NDArray:
-    """n states in the spherical cap ``normalize(center + radius * noise)``."""
-    noise = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    raw = center[None, :] + radius * noise
-    return raw / row_norms(raw)[:, None]
-
-
 def jitter_states(rng: np.random.Generator, states: NDArray, scale: float) -> NDArray:
     """Perturb states by a scaled complex Gaussian and renormalize."""
     noise = rng.standard_normal(states.shape) + 1j * rng.standard_normal(states.shape)
     raw = states + scale * noise
     return raw / row_norms(raw)[:, None]
+
+
+def cap_states(
+    rng: np.random.Generator, n: int, d: int, center: NDArray, radius: float
+) -> NDArray:
+    """n states in the spherical cap ``normalize(center + radius * noise)``."""
+    return jitter_states(rng, np.broadcast_to(center, (n, d)), radius)
 
 
 def admissible_cap_states(

@@ -27,8 +27,7 @@ assignment matrix, filled row group by row group and reused for every
 snapshot of a track; the LP prices its reduced costs into one second
 buffer.  Measured by ``getrusage`` on a 2-CPU Linux VM, W2 between two
 uniform 4096-atom clouds peaks 129 MiB above the process baseline (the
-matrix is 128 MiB) and nested 1024 -> 2048 at 33 MiB (a 32 MiB matrix);
-with a new array per step they took 385 and 65 MiB.
+matrix is 128 MiB) and nested 1024 -> 2048 at 33 MiB (a 32 MiB matrix).
 
 scipy's solvers are imported on first use, so a process that never solves
 a transport problem (``simulate``, e1, e2, e5, e7) never loads scipy.

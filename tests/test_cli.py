@@ -76,6 +76,8 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         {"dt": True},
         {"omega_scale": -1},
         {"omega_scale": -1, "init": "uniform"},
+        {"t_end": 1e300, "dt": 1e-10},
+        {"dt": 1e-300},
     ],
     ids=[
         "n_samples_1",
@@ -86,6 +88,8 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         "dt_bool",
         "omega_scale_negative",
         "omega_scale_negative_uniform",
+        "steps_infinite",
+        "steps_out_of_range",
     ],
 )
 def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
@@ -123,6 +127,14 @@ def test_experiment_inadmissible_delta_exits_2_before_running(tmp_path):
     out = tmp_path / "o"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert not (out / "e1_report.json").exists()
+
+
+def test_experiment_out_of_range_step_count_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "e1", "n": 4, "dt": 1e-300})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "config error: t_end / dt must be below 2**63" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_finite_gain_exits_2(tmp_path, capsys):
@@ -390,3 +402,25 @@ def test_missing_config_file(tmp_path):
         main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         == EXIT_USAGE
     )
+
+
+def test_sweep_out_of_range_step_count_becomes_failed_row(tmp_path):
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e7",
+            "n": 4,
+            "t_end": 0.5,
+            "n_samples": 20,
+            "axis": {"parameter": "dt", "values": [1e-3, 1e-300]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    assert (out / "manifest.json").exists()
+    assert not (out / "point_001").exists()
+    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["passed"] for row in rows] == ["1", "0"]
+    assert "t_end / dt must be below 2**63" in rows[1]["error"]

@@ -17,7 +17,7 @@ from lohesphere.dynamics import (
     mean_field_velocity,
 )
 from lohesphere.geometry import matrix_exp_family
-from lohesphere.integrators import rk4_step
+from lohesphere.integrators import IntegratorConfig, integrate, rk4_step, split_transform
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
 from lohesphere.transport import EmpiricalMeasure
 
@@ -69,22 +69,39 @@ def test_single_particle_feels_only_free_flow():
 
 def test_free_flow_without_blas_at_large_n():
     # At N = 2^13 a BLAS (N, d) x (d, d) product would run threaded; the free
-    # flow must still be the per-row product and must not depend on whether
-    # the common frequency is stored once or per particle.
+    # flow must be the per-row einsum and give the bits of the single-matrix
+    # form einsum("jb,ab->ja"), whether the common frequency is stored once
+    # or per particle.
     rng = np.random.default_rng(12)
-    n, d = 2**13, 4
+    n = 2**13
+    free = CouplingParams(0.0, 0.0)
+    for d in (1, 2, 3, 4, 8):
+        states = random_sphere_states(rng, n, d)
+        omega = random_skew_hermitian(rng, d, 1.0)
+        expected = np.einsum("jb,ab->ja", states, omega)
+        forms = (omega, np.tile(omega, (n, 1, 1)))
+        for freqs in forms:
+            assert np.array_equal(lhs_rhs(Ensemble(states, freqs, free)), expected)
+        coupled = [lhs_rhs(Ensemble(states, freqs, PARAMS)) for freqs in forms]
+        assert np.array_equal(*coupled)
+        rows = np.array([omega @ z for z in states])
+        np.testing.assert_allclose(expected, rows, atol=1e-15, rtol=0)
+
+
+def test_near_equal_frequencies_rotate_each_particle_by_its_own():
+    # Omega plus per-particle skew noise of about 1e-13: the stack is not
+    # common, so each particle turns by its own matrix and no splitting applies
+    rng = np.random.default_rng(16)
+    n, d = 64, 4
     states = random_sphere_states(rng, n, d)
     omega = random_skew_hermitian(rng, d, 1.0)
-    common = Ensemble.with_common_frequency(states, omega, PARAMS)
-    per_particle = Ensemble(states, np.tile(omega, (n, 1, 1)), PARAMS)
-    per_particle.homogeneous = False  # equal matrices would be detected as common
-    assert np.array_equal(lhs_rhs(common), lhs_rhs(per_particle))
-
-    rows = np.array([omega @ z for z in states])
-    for ens in (common, per_particle):
-        free_only = ens.replace_states(states)
-        free_only.params = CouplingParams(0.0, 0.0)
-        np.testing.assert_allclose(lhs_rhs(free_only), rows, atol=1e-15, rtol=0)
+    stack = omega + np.stack([random_skew_hermitian(rng, d, 1e-13) for _ in range(n)])
+    ens = Ensemble(states, stack, CouplingParams(0.0, 0.0))
+    assert not ens.homogeneous
+    assert np.array_equal(lhs_rhs(ens), np.einsum("jab,jb->ja", stack, states))
+    traj, _ = integrate(ens, IntegratorConfig(t_end=0.01, dt=0.01))
+    with pytest.raises(ValueError, match="homogeneous"):
+        split_transform(traj, omega)
 
 
 @pytest.mark.parametrize("omega_scale, heterogeneous", [(0.0, False), (0.5, False), (0.5, True)])
