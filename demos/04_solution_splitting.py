@@ -41,7 +41,7 @@ for k, t in enumerate(traj_full.times):
     print(f"{t:5.1f} {dev:30.3e} {df:14.3e} {dg:14.3e}")
 
 # the same factorization, via the trajectory transform
-split = split_transform(traj_full, omega)
+split = split_transform(traj_full)
 residual = np.max(np.abs(split.snapshots - traj_zero.snapshots))
 print(f"\nsplit_transform(full run) vs direct zero-frequency run: max gap {residual:.3e}")
 print("(both are numerical solutions; the gap is two accumulated RK4 errors)")

@@ -60,13 +60,16 @@ class CouplingParams:
 
 
 class Ensemble:
-    """Full phase-space configuration: N unit states, N frequencies, couplings.
+    """Full phase-space configuration: unit states, their frequencies, couplings.
 
-    states has shape (N, d) complex; frequencies is an (N, d, d) array, the
-    only form the right-hand sides read (a single (d, d) matrix is stored
-    once, as a read-only broadcast view of that shape).  ``homogeneous`` is
-    exact: True iff every frequency matrix equals the first entry by entry
-    (``==``, no tolerance).  It selects no arithmetic; it only gates
+    states has shape (..., N, d) complex: each leading index is one
+    independent ensemble of N particles with its own centroid, so one run
+    advances a whole batch.  frequencies may take any shape that broadcasts
+    to (..., N, d, d), such as one (d, d) matrix, an (N, d, d) stack or one
+    matrix per batch member; it is stored as a read-only broadcast view of
+    that shape, the only form the right-hand sides read.  ``homogeneous``
+    is exact: True iff every frequency matrix equals the first entry by
+    entry (``==``, no tolerance).  It selects no arithmetic; it only gates
     ``common_frequency`` and the splitting transform.
     """
 
@@ -74,28 +77,24 @@ class Ensemble:
 
     def __init__(self, states, frequencies, params: CouplingParams):
         states = np.array(states, dtype=np.complex128)
-        if states.ndim != 2:
-            raise ValueError(f"states must have shape (N, d), got {states.shape}")
-        n, d = states.shape
+        if states.ndim < 2:
+            raise ValueError(f"states must have shape (..., N, d), got {states.shape}")
         check_unit_rows(states, "ensemble states")
 
         frequencies = np.array(frequencies, dtype=np.complex128)
-        if frequencies.shape not in ((d, d), (n, d, d)):
-            raise ValueError(
-                f"frequencies must have shape (d, d) or (N, d, d), got {frequencies.shape}"
-            )
+        target, shape = (*states.shape, states.shape[-1]), frequencies.shape
+        if shape[-2:] != target[-2:] or len(shape) > len(target) or any(
+            f not in (1, t) for f, t in zip(shape[::-1], target[::-1])
+        ):
+            raise ValueError(f"frequencies must broadcast to (..., N, d, d) {target}, got {shape}")
         as_skew_hermitian(frequencies)
+        # both flags read the array as given: a common matrix is d*d entries,
+        # not the N*d*d of its broadcast view
         self._omega_zero = bool(np.max(np.abs(frequencies)) == 0.0)
-        if frequencies.ndim == 2:
-            # one common matrix, checked once and stored once: every particle
-            # reads it through a read-only view with stride 0 on the particle axis
-            self.homogeneous = True
-            frequencies = np.broadcast_to(frequencies, (n, d, d))
-        else:
-            self.homogeneous = bool(np.all(frequencies == frequencies[0]))
-
+        self.homogeneous = bool(np.all(frequencies == frequencies[(0,) * (len(shape) - 2)]))
+        # a matrix shared along an axis is stored once: stride 0 on that axis
+        self.frequencies = np.broadcast_to(frequencies, target)
         self.states = states
-        self.frequencies = frequencies
         self.params = params
 
     @classmethod
@@ -106,15 +105,14 @@ class Ensemble:
     @classmethod
     def zero_frequency(cls, states, params: CouplingParams) -> "Ensemble":
         """Ensemble with Omega_j = 0 (the normal form of the homogeneous model)."""
-        states = np.asarray(states, dtype=np.complex128)
-        d = states.shape[1]
+        d = np.shape(states)[-1]
         return cls(states, np.zeros((d, d), dtype=np.complex128), params)
 
     @property
     def common_frequency(self) -> NDArray[np.complexfloating]:
         if not self.homogeneous:
             raise ValueError("ensemble frequencies are heterogeneous")
-        return self.frequencies[0]
+        return self.frequencies[(0,) * (self.frequencies.ndim - 2)]
 
     def replace_states(self, states: NDArray[np.complexfloating]) -> "Ensemble":
         """New ensemble sharing frequencies/params; skips frequency revalidation.
@@ -135,18 +133,19 @@ BLOCK_ROWS = 2048
 def _free_flow(
     ens: Ensemble, states: NDArray[np.complexfloating], rows=slice(None), out=None
 ) -> NDArray[np.complexfloating]:
-    """Omega_j z_j for the particles ``rows`` at ``states``, written into ``out`` if given.
+    """Omega_j z_j for the particles ``rows`` (axis -2) of ``states``, into ``out`` if given.
 
-    One einsum for every ensemble; ``ens.homogeneous`` selects nothing here.
-    A common frequency is read through its stride-0 (N, d, d) view, which
-    gives the bits of the single-matrix ``einsum("jb,ab->ja", states, Omega)``.
+    One einsum for every ensemble and batch; ``ens.homogeneous`` selects
+    nothing here.  A common frequency is read through its stride-0
+    (..., N, d, d) view, which gives the bits of the single-matrix
+    ``einsum("jb,ab->ja", states, Omega)``.
     At its default ``optimize=False`` einsum never calls BLAS, whose threaded
     (N, d) x (d, d) product costs more to start than to compute and is not
     linear in N.
     """
     if ens._omega_zero:
         return np.zeros_like(states)
-    return np.einsum("jab,jb->ja", ens.frequencies[rows], states, out=out)
+    return np.einsum("...jab,...jb->...ja", ens.frequencies[..., rows, :, :], states, out=out)
 
 
 def _coupling_into(
@@ -158,7 +157,8 @@ def _coupling_into(
 ) -> None:
     """Write the coupling force of ``states`` towards the centroid ``zc`` into ``out``.
 
-    ``scratch`` (same shape as ``states``) holds every (rows, d) temporary.
+    ``zc`` is (..., 1, d), one centroid per batch member; ``scratch`` (same
+    shape as ``states``) holds every (..., rows, d) temporary.
     """
     # Both reductions share one multiply-then-sum path so that the
     # self-coupling bracket cancels exactly when z_c coincides bitwise with a
@@ -166,32 +166,34 @@ def _coupling_into(
     inner_cj = row_sum(np.multiply(states, np.conj(zc), out=scratch))      # <z_c, z_j>
     norm_sq = row_sum(np.multiply(states, np.conj(states), out=scratch)).real
     kappa0, kappa1 = params.kappa0, params.kappa1
-    np.multiply(norm_sq[:, None], zc, out=out)
-    out -= np.multiply(inner_cj[:, None], states, out=scratch)
+    np.multiply(norm_sq[..., None], zc, out=out)
+    out -= np.multiply(inner_cj[..., None], states, out=scratch)
     out *= kappa0
     if kappa1 != 0.0:
         # <z_j, z_c> - <z_c, z_j> = conj(a) - a = -2i Im(a) with a = <z_c, z_j>
-        out += np.multiply((kappa1 * (-2j * inner_cj.imag))[:, None], states, out=scratch)
+        out += np.multiply((kappa1 * (-2j * inner_cj.imag))[..., None], states, out=scratch)
 
 
 def lhs_rhs(ens: Ensemble) -> NDArray[np.complexfloating]:
     """Time derivative of every state under the centroid-reduced model.
 
-    One reduction gives z_c; the per-particle force follows in O(N d), one
-    block of BLOCK_ROWS particles at a time.  Makes no BLAS call, so its
-    O(N) cost does not depend on the BLAS thread count.
+    One reduction over the particle axis (-2) gives each batch member's
+    z_c; the per-particle force follows in O(N d), one block of BLOCK_ROWS
+    particles of every member at a time.  Each member gets the bits of its
+    own unbatched call.  Makes no BLAS call, so its O(N) cost does not
+    depend on the BLAS thread count.
     """
     states = ens.states
-    n = states.shape[0]
-    # states.mean(axis=0) bit for bit (the same sum and division) without its
+    n = states.shape[-2]
+    # states.mean(axis=-2) bit for bit (the same sum and division) without its
     # Python wrapper, which costs about 5 % of a call at N = 16..128
-    zc = np.add.reduce(states, axis=0) / n
+    zc = np.add.reduce(states, axis=-2, keepdims=True) / n
     out = np.empty_like(states)
-    scratch = np.empty_like(states[:BLOCK_ROWS])
+    scratch = np.empty_like(states[..., :BLOCK_ROWS, :])
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block, block_out = states[rows], out[rows]
-        tmp = scratch[: block.shape[0]]
+        block, block_out = states[..., rows, :], out[..., rows, :]
+        tmp = scratch[..., : block.shape[-2], :]
         _coupling_into(block, zc, ens.params, block_out, tmp)
         if not ens._omega_zero:
             block_out += _free_flow(ens, block, rows, out=tmp)
@@ -205,16 +207,16 @@ def lhs_rhs_pairwise(ens: Ensemble) -> NDArray[np.complexfloating]:
     agreement is required to 1e-12.
     """
     states = ens.states
-    n = states.shape[0]
+    n = states.shape[-2]
     kappa0, kappa1 = ens.params.kappa0, ens.params.kappa1
-    gram = np.conj(states) @ states.T            # gram[k, j] = <z_k, z_j>
-    norm_sq = np.diag(gram).real
-    col_sum = gram.sum(axis=0)                   # sum_k <z_k, z_j>
-    sum_states = states.sum(axis=0)
+    gram = np.conj(states) @ np.swapaxes(states, -2, -1)   # gram[..., k, j] = <z_k, z_j>
+    norm_sq = np.diagonal(gram, axis1=-2, axis2=-1).real
+    col_sum = gram.sum(axis=-2)                  # sum_k <z_k, z_j>
+    sum_states = states.sum(axis=-2, keepdims=True)
     out = _free_flow(ens, states)
-    out += (kappa0 / n) * (norm_sq[:, None] * sum_states[None, :] - col_sum[:, None] * states)
+    out += (kappa0 / n) * (norm_sq[..., None] * sum_states - col_sum[..., None] * states)
     # sum_k (<z_j, z_k> - <z_k, z_j>) = conj(col_sum_j) - col_sum_j
-    out += (kappa1 / n) * (np.conj(col_sum) - col_sum)[:, None] * states
+    out += (kappa1 / n) * (np.conj(col_sum) - col_sum)[..., None] * states
     return out
 
 
@@ -230,12 +232,12 @@ def ls_rhs(ens: Ensemble) -> NDArray[np.floating]:
     if np.max(np.abs(ens.frequencies.imag)) > REAL_TOL:
         raise ValueError("real-restricted model requires real frequency matrices")
     x = ens.states.real.copy()
-    xc = x.mean(axis=0)
-    inner_cj = (x * xc[None, :]).sum(axis=1)
-    norm_sq = (x * x).sum(axis=1)
-    out = ens.params.kappa0 * (norm_sq[:, None] * xc[None, :] - inner_cj[:, None] * x)
+    xc = x.mean(axis=-2, keepdims=True)
+    inner_cj = (x * xc).sum(axis=-1)
+    norm_sq = (x * x).sum(axis=-1)
+    out = ens.params.kappa0 * (norm_sq[..., None] * xc - inner_cj[..., None] * x)
     if not ens._omega_zero:
-        out += np.einsum("jab,jb->ja", ens.frequencies.real, x)
+        out += np.einsum("...jab,...jb->...ja", ens.frequencies.real, x)
     return out
 
 

@@ -6,7 +6,8 @@ stepping in C^d and in R^{2d} are the same computation).  The right-hand
 side is tangent to the sphere, leaving only O(dt^5) norm drift per step;
 a cheap per-particle renormalization after every step removes it.  Drift
 beyond the configured tolerance, or any non-finite value, aborts the run
-with a diagnostic naming the step, t and the particle.
+with a diagnostic naming the step, t, the particle and, in a batched run,
+the batch member.
 """
 
 from __future__ import annotations
@@ -83,16 +84,17 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded run: strictly increasing times and the state snapshots at them.
 
-    Frequencies are constant in time, so only states are stored per snapshot;
-    the frequency array and coupling params ride along once for downstream
-    consumers (observables, the splitting transform).  ``integrate`` puts
-    its run counts into metadata: ``steps``, ``rhs_evals`` and
-    ``max_norm_drift``, the worst norm drift before a renormalization.
+    A snapshot has the run's (..., N, d) state shape.  Frequencies are
+    constant in time, so only states are stored per snapshot; the frequency
+    array and coupling params ride along once for downstream consumers
+    (observables, the splitting transform).  ``integrate`` puts its run
+    counts into metadata: ``steps``, ``rhs_evals`` and ``max_norm_drift``,
+    the worst norm drift before a renormalization.
     """
 
     times: NDArray[np.floating]
-    snapshots: NDArray[np.complexfloating]        # (T, N, d)
-    frequencies: NDArray[np.complexfloating]      # (N, d, d)
+    snapshots: NDArray[np.complexfloating]        # (T, ..., N, d)
+    frequencies: NDArray[np.complexfloating]      # (..., N, d, d)
     params: CouplingParams
     homogeneous: bool = True
     metadata: dict = field(default_factory=dict)
@@ -137,22 +139,22 @@ def _renormalize(states: NDArray[np.complexfloating], tol: float, step: int, t: 
     """Project every state back onto the sphere, in place, after checking its norm drift.
 
     The row norms are computed once and serve both the check and the
-    projection; the offending particle's index is looked up only on failure.
-    Returns the worst drift ``max_j | ||z_j|| - 1 |`` before the projection.
+    projection; the offending particle is looked up only on failure, and in
+    a batch also its member, counted in C order over the batch axes.
+    Returns the worst drift ``max | ||z_j|| - 1 |`` over every particle of
+    every member before the projection.
     """
     norms = row_norms(states)
     gaps = np.abs(norms - 1.0)
-    drift = float(np.maximum.reduce(gaps))
-    if not math.isfinite(drift):
-        worst = int(np.argmin(np.isfinite(norms)))
-        raise IntegrationError(f"non-finite state at step {step} (t = {t:g}, particle {worst})")
-    if drift > tol:
-        worst = int(np.argmax(gaps))
-        raise IntegrationError(
-            f"norm drift {drift:g} exceeds tolerance {tol:g} "
-            f"at step {step} (t = {t:g}, particle {worst})"
-        )
-    states /= norms[:, None]
+    drift = float(np.maximum.reduce(gaps, axis=None))
+    if not drift <= tol:
+        finite = math.isfinite(drift)
+        flat = int(np.argmax(gaps) if finite else np.argmin(np.isfinite(norms)))
+        member, j = divmod(flat, norms.shape[-1])
+        where = f"particle {j}" if norms.ndim == 1 else f"member {member}, particle {j}"
+        what = f"norm drift {drift:g} exceeds tolerance {tol:g}" if finite else "non-finite state"
+        raise IntegrationError(f"{what} at step {step} (t = {t:g}, {where})")
+    states /= norms[..., None]
     return drift
 
 
@@ -161,9 +163,10 @@ def integrate(
     cfg: IntegratorConfig,
     observers: Mapping[str, Callable[[float, np.ndarray], float]] | None = None,
 ) -> tuple[Trajectory, ObservableSeries]:
-    """Integrate an ensemble, recording snapshots and observer values.
+    """Integrate an ensemble, or a batch of them, recording snapshots and observer values.
 
-    Observers map a name to a callback ``(t, states) -> float`` invoked at
+    A batch advances in one loop, each member bit for bit as in its own
+    run.  Observers map a name to a callback ``(t, states) -> float`` invoked at
     every recorded time (step multiples of record_every, always including
     t = 0 and the final step).
     """
@@ -220,22 +223,16 @@ def integrate(
     return traj, series
 
 
-def split_transform(traj: Trajectory, omega) -> Trajectory:
+def split_transform(traj: Trajectory) -> Trajectory:
     """Undo the free rotation of a homogeneous run: ``w_j(t) = exp(-Omega t) z_j(t)``.
 
-    Requires a homogeneous trajectory whose common frequency equals omega.
-    The propagator family is eigendecomposed once and evaluated per snapshot
-    time; unitarity keeps every transformed snapshot on the sphere.
+    Omega is the run's own common frequency.  The propagator family is
+    eigendecomposed once and evaluated per snapshot time; unitarity keeps
+    every transformed snapshot on the sphere.
     """
-    omega = np.asarray(omega, dtype=np.complex128)
     if not traj.homogeneous:
         raise ValueError("splitting transform requires a homogeneous ensemble")
-    if np.linalg.norm(traj.frequencies[0] - omega) > 1e-12 * max(
-        1.0, float(np.linalg.norm(omega))
-    ):
-        raise ValueError("omega does not match the trajectory's common frequency")
-
-    propagator = matrix_exp_family(omega)
+    propagator = matrix_exp_family(traj.frequencies[(0,) * (traj.frequencies.ndim - 2)])
     transformed = np.empty_like(traj.snapshots)
     for k, t in enumerate(traj.times):
         u_back = propagator(-float(t))

@@ -101,7 +101,7 @@ def test_near_equal_frequencies_rotate_each_particle_by_its_own():
     assert np.array_equal(lhs_rhs(ens), np.einsum("jab,jb->ja", stack, states))
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.01, dt=0.01))
     with pytest.raises(ValueError, match="homogeneous"):
-        split_transform(traj, omega)
+        split_transform(traj)
 
 
 @pytest.mark.parametrize("omega_scale, heterogeneous", [(0.0, False), (0.5, False), (0.5, True)])
@@ -135,6 +135,11 @@ def test_centroid_reduction_matches_pairwise():
             np.testing.assert_allclose(
                 lhs_rhs(ens), lhs_rhs_pairwise(ens), atol=1e-12, rtol=0
             )
+    # a batch of 3 ensembles, one frequency matrix per member
+    states = np.stack([random_sphere_states(rng, 17, 4) for _ in range(3)])
+    freqs = np.stack([random_skew_hermitian(rng, 4, 0.5) for _ in range(3)])[:, None]
+    batch = Ensemble(states, freqs, CouplingParams(*rng.standard_normal(2)))
+    np.testing.assert_allclose(lhs_rhs(batch), lhs_rhs_pairwise(batch), atol=1e-12, rtol=0)
 
 
 def test_permutation_equivariance():
@@ -209,6 +214,10 @@ def test_ls_matches_complex_rhs_on_real_data():
     full = lhs_rhs(ens)
     np.testing.assert_allclose(real, full.real, atol=1e-13)
     assert np.max(np.abs(full.imag)) < 1e-13
+    # each member of a batch has its own centroid
+    batch = Ensemble(np.stack([x, x[::-1] * [1, -1, 1, 1]]).astype(complex), omega, PARAMS)
+    np.testing.assert_allclose(ls_rhs(batch), lhs_rhs(batch).real, atol=1e-13)
+    np.testing.assert_allclose(ls_rhs(batch)[0], real, atol=1e-13)
 
 
 @settings(max_examples=100, deadline=None)
@@ -410,3 +419,26 @@ def test_common_frequency_is_stored_once():
         assert np.array_equal(ens.frequencies, np.broadcast_to(matrix, (5, 3, 3)))
         with pytest.raises(ValueError, match="read-only"):
             ens.frequencies[0, 0, 0] = 1.0
+    # one matrix per batch member: stored once per member, read-only
+    per_member = np.stack([omega, -omega])[:, None]
+    batch = Ensemble(np.stack([states, states]), per_member, PARAMS)
+    assert batch.frequencies.shape == (2, 5, 3, 3)
+    assert batch.frequencies.strides[1] == 0
+    assert not batch.frequencies.flags.writeable
+    assert np.array_equal(batch.frequencies, np.broadcast_to(per_member, (2, 5, 3, 3)))
+    assert not batch.homogeneous
+    with pytest.raises(ValueError, match="read-only"):
+        batch.frequencies[1, 0, 0, 0] = 1.0
+
+
+def test_frequencies_must_broadcast_to_the_states():
+    rng = np.random.default_rng(16)
+    states = random_sphere_states(rng, 3, 2)
+    batch = np.stack([states, states])
+    for bad in (np.zeros(2), np.zeros((1, 1)), np.zeros((2, 2, 2)), np.zeros((4, 3, 2, 2))):
+        with pytest.raises(ValueError, match=r"broadcast to \(\.\.\., N, d, d\)"):
+            Ensemble(states, bad, PARAMS)
+    with pytest.raises(ValueError, match="broadcast"):
+        Ensemble(batch, np.zeros((3, 3, 2, 2)), PARAMS)
+    for good in (np.zeros((2, 2)), np.zeros((3, 2, 2)), np.zeros((2, 1, 2, 2))):
+        assert Ensemble(batch, good, PARAMS).frequencies.shape == (2, 3, 2, 2)

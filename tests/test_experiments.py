@@ -99,19 +99,32 @@ def test_pair_and_nested_tracks_equal_direct_distances():
     freqs = random_frequencies(rng, 8, 3, 0.5, heterogeneous=True)
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     icfg = experiments._integrator_config(cfg)
-    ens_a = Ensemble(states[:4], freqs[:4], params)
-    ens_b = Ensemble(states[4:], freqs[:4], params)
-    snaps_a, snaps_b = (integrate(ens, icfg)[0].snapshots for ens in (ens_a, ens_b))
+    # 3 pairs of 4 particles, each pair sharing its own frequencies
+    pair_states = np.stack([random_sphere_states(rng, 8, 3).reshape(2, 4, 3) for _ in range(3)])
+    pair_freqs = np.stack([random_frequencies(rng, 4, 3, 0.5, True) for _ in range(3)])[:, None]
+    snaps = [
+        [integrate(Ensemble(z, pair_freqs[k, 0], params), icfg)[0].snapshots for z in pair]
+        for k, pair in enumerate(pair_states)
+    ]
 
     def w_p(a, b, p):
         return wasserstein_uniform(EmpiricalMeasure.uniform(a), EmpiricalMeasure.uniform(b), p)
 
-    # e2's and e4's comparisons: each track callback against its per-snapshot distance
-    for track, distance in ((lp_distance, lp_distance), (wasserstein_nested_track, w_p)):
-        times, tracks = experiments._pair_tracks(ens_a, ens_b, icfg, (1.0, 2.0), track)
-        assert len(times) == len(snaps_a) == 5
+    # e2's comparison: one run of the whole batch, one lp track per pair
+    pairs = Ensemble(pair_states, pair_freqs, params)
+    times, tracks = experiments._pair_tracks(pairs, icfg, (1.0, 2.0), lp_distance)
+    assert len(times) == 5 and tracks[2.0].shape == (5, 3)
+    for p in (1.0, 2.0):
+        for k, (snaps_a, snaps_b) in enumerate(snaps):
+            assert tracks[p][:, k].tolist() == [
+                lp_distance(a, b, p) for a, b in zip(snaps_a, snaps_b)
+            ]
+    # e4's comparison: one pair, its W_p track against each snapshot's distance
+    for k, (snaps_a, snaps_b) in enumerate(snaps):
+        pair = Ensemble(pair_states[k], pair_freqs[k], params)
+        _, tracks = experiments._pair_tracks(pair, icfg, (1.0, 2.0), wasserstein_nested_track)
         for p in (1.0, 2.0):
-            assert tracks[p].tolist() == [distance(a, b, p) for a, b in zip(snaps_a, snaps_b)]
+            assert tracks[p].tolist() == [w_p(a, b, p) for a, b in zip(snaps_a, snaps_b)]
 
     for tags in (None, freqs):  # e3's plain and frequency-tagged comparisons
         _, tracks, _ = experiments._nested_w2_tracks(cfg, states, tags, 0.2)
@@ -316,6 +329,17 @@ def test_e7_zero_frequency_runs_bitwise_identical():
         Ensemble.with_common_frequency(states.copy(), np.zeros((3, 3)), params), cfg
     )
     assert np.array_equal(traj_a.snapshots, traj_b.snapshots)
+
+
+@pytest.mark.parametrize("experiment", ["e2", "e4"])
+def test_long_horizon_config_error_comes_before_any_run(monkeypatch, experiment):
+    # a t_long out of range is a config error before the first step is taken
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    with pytest.raises(ConfigError, match="t_end / dt"):
+        run_experiment({"experiment": experiment, "t_long": 1e300, "n": 8})
 
 
 def test_e4_zero_perturbation_is_trivially_stable():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lohesphere import dynamics
 from lohesphere.dynamics import BLOCK_ROWS, CouplingParams, Ensemble, lhs_rhs
 from lohesphere.geometry import matrix_exp_family
 from lohesphere.integrators import (
@@ -100,6 +101,12 @@ def test_drift_violation_raises_with_diagnostic():
     lax = np.finfo(float).max
     with np.errstate(all="ignore"), pytest.raises(IntegrationError, match=r"non-finite .*particle"):
         integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10, unit_drift_tol=lax))
+    # in a batch the member is named too: member 0 is a consensus at rest,
+    # member 1 the drifting ensemble above
+    rest = np.tile(np.array([0.6, 0.8j]), (4, 1))
+    batch = Ensemble(np.stack([rest, states]), np.stack([0.0 * omega, omega])[:, None], PARAMS)
+    with pytest.raises(IntegrationError, match=r"drift .* \(t = .*, member 1, particle \d+\)"):
+        integrate(batch, IntegratorConfig(t_end=10.0, dt=0.9, unit_drift_tol=1e-10))
 
 
 def test_reversed_time_consistency():
@@ -132,7 +139,7 @@ def test_split_transform_identity_for_zero_frequency():
     rng = np.random.default_rng(7)
     ens = Ensemble.zero_frequency(random_sphere_states(rng, 6, 3), PARAMS)
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.5, dt=1e-2, record_every=5))
-    split = split_transform(traj, np.zeros((3, 3)))
+    split = split_transform(traj)
     np.testing.assert_array_equal(split.snapshots, traj.snapshots)
 
 
@@ -143,7 +150,7 @@ def test_split_transform_free_flow_is_constant():
     omega = random_skew_hermitian(rng, 3, 1.0)
     ens = Ensemble.with_common_frequency(states, omega, CouplingParams(0.0, 0.0))
     traj, _ = integrate(ens, IntegratorConfig(t_end=2.0, dt=1e-3, record_every=200))
-    split = split_transform(traj, omega)
+    split = split_transform(traj)
     spread = np.max(np.abs(split.snapshots - split.snapshots[0][None]))
     assert spread < 1e-9
 
@@ -155,7 +162,7 @@ def test_split_transform_rejects_heterogeneous():
     ens = Ensemble(states, freqs, PARAMS)
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.01, dt=1e-2))
     with pytest.raises(ValueError, match="homogeneous"):
-        split_transform(traj, freqs[0])
+        split_transform(traj)
 
 
 def test_split_transform_solves_zero_frequency_system():
@@ -166,7 +173,7 @@ def test_split_transform_solves_zero_frequency_system():
     omega = random_skew_hermitian(rng, 4, 1.0)
     ens = Ensemble.with_common_frequency(states, omega, PARAMS)
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.2, dt=1e-3, record_every=1))
-    split = split_transform(traj, omega)
+    split = split_transform(traj)
     worst = 0.0
     for k in range(1, len(split.times) - 1):
         h = split.times[k + 1] - split.times[k]
@@ -318,3 +325,42 @@ def test_integrate_keeps_every_snapshot_row_on_the_sphere(mode, n, d, kappa0, ka
     ens = Ensemble(states, freqs, CouplingParams(kappa0, kappa1))
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.1, dt=1e-2, record_every=3))
     assert np.max(np.abs(np.linalg.norm(traj.snapshots, axis=2) - 1.0)) <= 1e-12
+
+
+def _batch_frequencies(rng, mode, b, n, d):
+    """Frequencies of b ensembles of n particles: zero, one matrix per member, or per particle."""
+    if mode == "zero":
+        return np.zeros((d, d))
+    if mode == "common":
+        return np.stack([random_skew_hermitian(rng, d, 1.0) for _ in range(b)])[:, None]
+    return np.stack([[random_skew_hermitian(rng, d, 1.0) for _ in range(n)] for _ in range(b)])
+
+
+# B * N on both sides of geometry._COLUMN_SUM_MIN_ROWS (256), where row sums change path
+@pytest.mark.parametrize("b, n", [(2, 16), (20, 16), (3, 100)])
+@settings(max_examples=15, deadline=None)
+@given(
+    st.sampled_from(["zero", "common", "per_particle"]),
+    st.integers(1, 4),
+    st.sampled_from([BLOCK_ROWS, 7]),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_run_is_bitwise_each_members_own_run(b, n, mode, d, rows, kappa0, kappa1, seed):
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_sphere_states(rng, n, d) for _ in range(b)])
+    freqs = _batch_frequencies(rng, mode, b, n, d)
+    params = CouplingParams(kappa0, kappa1)
+    batch = Ensemble(states, freqs, params)
+    cfg = IntegratorConfig(t_end=0.05, dt=1e-2, record_every=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "BLOCK_ROWS", rows)
+        rhs = lhs_rhs(batch)
+        traj, _ = integrate(batch, cfg)
+        assert traj.snapshots.shape == (4, b, n, d)
+        for k in range(b):
+            member = Ensemble(states[k], freqs if mode == "zero" else freqs[k], params)
+            assert lhs_rhs(member).tobytes() == rhs[k].tobytes()
+            own, _ = integrate(member, cfg)
+            assert own.snapshots.tobytes() == traj.snapshots[:, k].tobytes()
