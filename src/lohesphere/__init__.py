@@ -15,9 +15,7 @@ from .dynamics import (
     TensorEnsemble,
     lhs_rhs,
     lhs_rhs_pairwise,
-    ls_rhs,
     lt_rhs,
-    mean_field_velocity,
 )
 from .geometry import matrix_exp_family
 from .integrators import (
@@ -64,9 +62,7 @@ __all__ = [
     "TensorEnsemble",
     "lhs_rhs",
     "lhs_rhs_pairwise",
-    "ls_rhs",
     "lt_rhs",
-    "mean_field_velocity",
     "matrix_exp_family",
     "IntegratorConfig",
     "IntegrationError",

@@ -8,11 +8,10 @@ The core model couples N unit vectors in C^d through their centroid
               + kappa1 (<z_j, z_c> - <z_c, z_j>) z_j
 
 Every evaluation is O(N d) after one centroid reduction; the O(N^2)
-pairwise form is kept solely as a correctness oracle.  The real
-restriction (``ls_rhs``) and the rank-m tensor generalization
-(``lt_rhs``, whose rank-1 case reproduces the model above) share the
-same centroid structure.  All right-hand sides are tangent to the
-sphere, which is what conserves the particle norms.
+pairwise form is kept solely as a correctness oracle.  The rank-m
+tensor generalization (``lt_rhs``, whose rank-1 case reproduces the
+model above) shares the same centroid structure.  All right-hand sides
+are tangent to the sphere, which is what conserves the particle norms.
 """
 
 from __future__ import annotations
@@ -34,13 +33,8 @@ __all__ = [
     "TensorEnsemble",
     "lhs_rhs",
     "lhs_rhs_pairwise",
-    "ls_rhs",
     "lt_rhs",
-    "mean_field_velocity",
 ]
-
-#: maximal imaginary part accepted by the real-restricted model
-REAL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -220,27 +214,6 @@ def lhs_rhs_pairwise(ens: Ensemble) -> NDArray[np.complexfloating]:
     return out
 
 
-def ls_rhs(ens: Ensemble) -> NDArray[np.floating]:
-    """Real-restricted model on the real unit sphere.
-
-    Requires real states and frequencies (imaginary parts below 1e-14).
-    The rotational gain drops out identically for real data, so only the
-    kappa0 term survives:  dx_j/dt = Omega_j x_j + kappa0 (<x_j,x_j> x_c - <x_c,x_j> x_j).
-    """
-    if np.max(np.abs(ens.states.imag)) > REAL_TOL:
-        raise ValueError("real-restricted model requires real states")
-    if np.max(np.abs(ens.frequencies.imag)) > REAL_TOL:
-        raise ValueError("real-restricted model requires real frequency matrices")
-    x = ens.states.real.copy()
-    xc = x.mean(axis=-2, keepdims=True)
-    inner_cj = (x * xc).sum(axis=-1)
-    norm_sq = (x * x).sum(axis=-1)
-    out = ens.params.kappa0 * (norm_sq[..., None] * xc - inner_cj[..., None] * x)
-    if not ens._omega_zero:
-        out += np.einsum("...jab,...jb->...ja", ens.frequencies.real, x)
-    return out
-
-
 class TensorEnsemble:
     """N rank-m complex tensors with unit Frobenius norm, skew frequency tensors
     and one coupling gain per index pattern in {0,1}^m.
@@ -335,24 +308,4 @@ def lt_rhs(tens: TensorEnsemble) -> NDArray[np.complexfloating]:
             f"j{sel},{sum_idx},j{sel_comp}->j{out_idx}", tensors, np.conj(t_c), tensors
         )
         out += kappa * (term_c - term_j)
-    return out
-
-
-def mean_field_velocity(measure, z, omega, params: CouplingParams) -> NDArray[np.complexfloating]:
-    """Alignment force of an atomic measure at state z, plus the free flow.
-
-    For a measure with first moment J the force is
-    ``Omega z + kappa0 (J - <J, z> z) + kappa1 (<z, J> - <J, z>) z``;
-    on a uniform measure over an ensemble this reproduces the coupling part
-    of the particle right-hand side.
-    """
-    if measure.atoms.shape[0] == 0:
-        raise ValueError("measure has empty support")
-    z = np.asarray(z, dtype=np.complex128)
-    j_mu = measure.weights @ measure.atoms
-    inner_jz = complex(np.vdot(j_mu, z))       # <J, z>
-    inner_zj = complex(np.vdot(z, j_mu))       # <z, J>
-    out = params.kappa0 * (j_mu - inner_jz * z) + params.kappa1 * (inner_zj - inner_jz) * z
-    if omega is not None:
-        out = out + np.asarray(omega, dtype=np.complex128) @ z
     return out

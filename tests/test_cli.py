@@ -147,16 +147,19 @@ def test_non_finite_gain_exits_2(tmp_path, capsys):
 
 
 def test_e5_with_heterogeneous_frequencies_exits_2(tmp_path, capsys):
-    # outside e5's hypotheses: this run used to fail three gating checks and exit 1
-    cfg = _write(
-        tmp_path / "cfg.json",
-        {"experiment": "e5", "n": 10, "t_end": 10.0, "omega_scale": 0.4,
-         "heterogeneous": True, "n_samples": 50},
-    )
-    out = tmp_path / "o"
-    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    assert "config error:" in capsys.readouterr().err
-    assert not out.exists()
+    configs = {
+        # outside e5's hypotheses: this run used to fail three gating checks and exit 1
+        "e5": {"experiment": "e5", "n": 10, "t_end": 10.0, "omega_scale": 0.4,
+               "heterogeneous": True, "n_samples": 50},
+        # e3 reads only the states of its draw, so it would ignore these frequencies
+        "e3": {"experiment": "e3", "omega_scale": 0.5, "heterogeneous": True},
+    }
+    for name, config in configs.items():
+        cfg = _write(tmp_path / f"{name}.json", config)
+        out = tmp_path / name
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_experiment_flag_overrides_config(tmp_path):

@@ -1,4 +1,9 @@
-"""Right-hand sides: centroid reduction, real restriction, tensor model."""
+"""Right-hand sides: centroid reduction, real restriction, tensor model.
+
+The real-restricted (LS) model is ``lhs_rhs`` on real states with real
+antisymmetric frequencies: the output is real and the rotational gain
+kappa1 drops out exactly.
+"""
 
 import numpy as np
 import pytest
@@ -12,14 +17,11 @@ from lohesphere.dynamics import (
     TensorEnsemble,
     lhs_rhs,
     lhs_rhs_pairwise,
-    ls_rhs,
     lt_rhs,
-    mean_field_velocity,
 )
 from lohesphere.geometry import matrix_exp_family
 from lohesphere.integrators import IntegratorConfig, integrate, rk4_step, split_transform
 from lohesphere.sampling import random_skew_hermitian, random_sphere_states
-from lohesphere.transport import EmpiricalMeasure
 
 PARAMS = CouplingParams(1.0, 0.3)
 
@@ -203,6 +205,15 @@ def test_rhs_covariant_under_unitaries_commuting_with_omega(case, s):
     )
 
 
+def _assert_real_restriction(ens):
+    """lhs_rhs of a real ensemble is exactly real and exactly free of kappa1."""
+    out = lhs_rhs(ens)
+    assert np.all(out.imag == 0.0)
+    no_kappa1 = CouplingParams(ens.params.kappa0, 0.0)
+    assert np.all(out == lhs_rhs(Ensemble(ens.states, ens.frequencies, no_kappa1)))
+    return out.real
+
+
 def test_ls_matches_complex_rhs_on_real_data():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((10, 4))
@@ -210,14 +221,10 @@ def test_ls_matches_complex_rhs_on_real_data():
     g = rng.standard_normal((4, 4))
     omega = 0.5 * (g - g.T)
     ens = Ensemble.with_common_frequency(x.astype(complex), omega.astype(complex), PARAMS)
-    real = ls_rhs(ens)
-    full = lhs_rhs(ens)
-    np.testing.assert_allclose(real, full.real, atol=1e-13)
-    assert np.max(np.abs(full.imag)) < 1e-13
+    real = _assert_real_restriction(ens)
     # each member of a batch has its own centroid
     batch = Ensemble(np.stack([x, x[::-1] * [1, -1, 1, 1]]).astype(complex), omega, PARAMS)
-    np.testing.assert_allclose(ls_rhs(batch), lhs_rhs(batch).real, atol=1e-13)
-    np.testing.assert_allclose(ls_rhs(batch)[0], real, atol=1e-13)
+    assert np.all(_assert_real_restriction(batch)[0] == real)
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,34 +243,26 @@ def test_ls_matches_lhs_on_real_states_and_frequencies(mode, n, d, kappa0, kappa
     omega_scale, heterogeneous = FREQUENCY_MODES[mode]
     g = omega_scale * rng.standard_normal((n, d, d) if heterogeneous else (d, d))
     omegas = 0.5 * (g - np.swapaxes(g, -1, -2))
-    ens = Ensemble(x.astype(complex), omegas.astype(complex), CouplingParams(kappa0, kappa1))
-    full = lhs_rhs(ens)
-    np.testing.assert_allclose(ls_rhs(ens), full.real, rtol=0, atol=1e-13)
-    assert np.max(np.abs(full.imag)) <= 1e-13
+    _assert_real_restriction(
+        Ensemble(x.astype(complex), omegas.astype(complex), CouplingParams(kappa0, kappa1))
+    )
 
 
 def test_ls_consensus_is_equilibrium():
     x = np.tile(np.array([0.5, 0.5, 0.5, 0.5]), (6, 1)).astype(complex)
     ens = Ensemble.zero_frequency(x, PARAMS)
-    assert np.all(ls_rhs(ens) == 0.0)
+    assert np.all(_assert_real_restriction(ens) == 0.0)
 
 
 def test_ls_orthogonal_pair_hand_value():
     # x1 = e1, x2 = e2 on the circle: dx1/dt = kappa0 (x_c - (x_c . x1) x1)
-    # with x_c = (e1 + e2)/2, so dx1/dt = kappa0 e2 / 2
+    # with x_c = (e1 + e2)/2, so dx1/dt = kappa0 e2 / 2; kappa1 drops out
     x = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     kappa0 = 0.8
-    ens = Ensemble.zero_frequency(x, CouplingParams(kappa0, 0.0))
-    out = ls_rhs(ens)
+    ens = Ensemble.zero_frequency(x, CouplingParams(kappa0, 0.5))
+    out = _assert_real_restriction(ens)
     np.testing.assert_allclose(out[0], [0.0, kappa0 / 2.0], atol=1e-15)
     np.testing.assert_allclose(out[1], [kappa0 / 2.0, 0.0], atol=1e-15)
-
-
-def test_ls_rejects_complex_input():
-    rng = np.random.default_rng(5)
-    ens = _random_ensemble(rng, 4, 3)
-    with pytest.raises(ValueError, match="real"):
-        ls_rhs(ens)
 
 
 def test_real_data_stay_real_over_many_steps():
@@ -352,35 +351,6 @@ def test_lt_rejects_non_unit_tensors():
     freqs = np.zeros((2, 2, 2, 2, 2), dtype=complex)
     with pytest.raises(ValueError):
         TensorEnsemble(states, freqs, {(0,): 1.0, (1,): 1.0})
-
-
-def test_mean_field_velocity_dirac_at_self():
-    rng = np.random.default_rng(12)
-    z = random_sphere_states(rng, 1, 4)[0]
-    mu = EmpiricalMeasure.uniform(z[None, :])
-    np.testing.assert_allclose(
-        mean_field_velocity(mu, z, None, PARAMS), np.zeros(4), atol=1e-15
-    )
-
-
-def test_mean_field_velocity_matches_particle_rhs():
-    rng = np.random.default_rng(13)
-    ens = _random_ensemble(rng, 10, 3, omega_scale=0.6)
-    mu = EmpiricalMeasure.uniform(ens.states)
-    rhs = lhs_rhs(ens)
-    omega = ens.frequencies[0]
-    for j in range(10):
-        v = mean_field_velocity(mu, ens.states[j], omega, ens.params)
-        np.testing.assert_allclose(v, rhs[j], atol=1e-13)
-
-
-def test_mean_field_velocity_vanishing_moment():
-    states = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=complex)
-    mu = EmpiricalMeasure.uniform(states)
-    z = np.array([0.0, 1.0], dtype=complex)
-    np.testing.assert_allclose(
-        mean_field_velocity(mu, z, None, PARAMS), np.zeros(2), atol=1e-15
-    )
 
 
 def test_ensemble_validation():

@@ -96,7 +96,6 @@ def test_pair_and_nested_tracks_equal_direct_distances():
     )
     rng = np.random.default_rng(4)
     states = random_sphere_states(rng, 8, 3)
-    freqs = random_frequencies(rng, 8, 3, 0.5, heterogeneous=True)
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     icfg = experiments._integrator_config(cfg)
     # 3 pairs of 4 particles, each pair sharing its own frequencies
@@ -126,20 +125,18 @@ def test_pair_and_nested_tracks_equal_direct_distances():
         for p in (1.0, 2.0):
             assert tracks[p].tolist() == [w_p(a, b, p) for a, b in zip(snaps_a, snaps_b)]
 
-    for tags in (None, freqs):  # e3's plain and frequency-tagged comparisons
-        _, tracks, _ = experiments._nested_w2_tracks(cfg, states, tags, 0.2)
-        assert list(tracks) == [(2, 4), (4, 8)]
-        for small, big in tracks:
-            clouds = {}
-            for n in (small, big):
-                tags_n = None if tags is None else tags[:n]
-                ens = Ensemble(states[:n], np.zeros((3, 3)) if tags is None else tags_n, params)
-                snaps = integrate(ens, icfg)[0].snapshots
-                clouds[n] = [EmpiricalMeasure.uniform(s, frequencies=tags_n) for s in snaps]
-            expected = [
-                wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])
-            ]
-            assert tracks[(small, big)].tolist() == expected
+    # e3's comparison: nested zero-frequency runs, one W_2 track per (n, 2n)
+    _, tracks, _ = experiments._nested_w2_tracks(cfg, states)
+    assert list(tracks) == [(2, 4), (4, 8)]
+    for small, big in tracks:
+        clouds = {}
+        for n in (small, big):
+            snaps = integrate(Ensemble.zero_frequency(states[:n], params), icfg)[0].snapshots
+            clouds[n] = [EmpiricalMeasure.uniform(s) for s in snaps]
+        expected = [
+            wasserstein_uniform_nested(a, b, 2.0) for a, b in zip(clouds[small], clouds[big])
+        ]
+        assert tracks[(small, big)].tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lohesphere.dynamics import CouplingParams, Ensemble, TensorEnsemble, mean_field_velocity
+from lohesphere.dynamics import CouplingParams, Ensemble, TensorEnsemble, lhs_rhs
 from lohesphere.geometry import (
     as_skew_hermitian,
     check_unit_rows,
@@ -83,14 +83,17 @@ def test_one_bad_matrix_in_a_stack_is_rejected():
 
 
 def _q(z, v, kappa0, kappa1):
-    """Q_z(v) through the kinetic velocity field: the two-atom measure on
-    +-v/||v|| with weights (1 +- s)/2 has first moment s v/||v||, and Q_z is
-    real-linear in its target."""
+    """Q_z(v) as row 0 of the zero-frequency right-hand side.  The ensemble
+    (z, h + t u, h - t u) with h = (3c - z)/2, u = i h/||h|| and
+    t = sqrt(1 - ||h||^2) has unit rows and centroid c = 0.2 v/||v||, so row 0
+    is Q_z(c); Q_z is real-linear in its target."""
     r = np.linalg.norm(v)
-    u = v / r
-    s = 0.5
-    mu = EmpiricalMeasure(atoms=np.stack([u, -u]), weights=np.array([1 + s, 1 - s]) / 2)
-    return mean_field_velocity(mu, z, None, CouplingParams(kappa0, kappa1)) * (r / s)
+    c = 0.2 * v / r
+    h = (3.0 * c - z) / 2.0
+    u = 1j * h / np.linalg.norm(h)
+    t = np.sqrt(1.0 - np.linalg.norm(h) ** 2)
+    states = np.stack([z, h + t * u, h - t * u])
+    return lhs_rhs(Ensemble.zero_frequency(states, CouplingParams(kappa0, kappa1)))[0] * (r / 0.2)
 
 
 def test_q_map_self_coupling_vanishes():

@@ -1,6 +1,9 @@
-"""Public surface: every module star-imports, every package export resolves,
-and scipy loads only with the first transport solve."""
+"""Public surface: every module star-imports, every package export and every
+name a demo imports resolves, and scipy loads only with the first transport
+solve."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -32,6 +35,27 @@ def test_star_import(module):
 
 def test_package_exports_resolve():
     missing = [name for name in lohesphere.__all__ if not hasattr(lohesphere, name)]
+    assert missing == []
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_imports_resolve(demo):
+    # parsed, not run: the demos take up to half a minute each
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "lohesphere"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{module}.{name}"
+        for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
     assert missing == []
 
 
