@@ -42,6 +42,6 @@ for k, t in enumerate(traj_full.times):
 
 # the same factorization, via the trajectory transform
 split = split_transform(traj_full)
-residual = np.max(np.abs(split.snapshots - traj_zero.snapshots))
+residual = np.max(np.abs(split - traj_zero.snapshots))
 print(f"\nsplit_transform(full run) vs direct zero-frequency run: max gap {residual:.3e}")
 print("(both are numerical solutions; the gap is two accumulated RK4 errors)")

@@ -147,19 +147,11 @@ def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
         freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
         ens = Ensemble(states, freqs, params)
 
-    observers = standard_observers(params, with_dj=False)
-    last: dict = {}
-
-    def centroid(s):
-        # once per record, matched by identity as in standard_observers
-        if last.get("states") is not s:
-            last.update(states=s, j=s.mean(axis=0))
-        return last["j"]
-
+    traj, series = integrate(ens, _integrator_config(cfg), standard_observers(params, False))
+    centroids = traj.snapshots.mean(axis=1)
     for k in range(cfg.d):
-        observers[f"j_re_{k}"] = lambda t, s, k=k: float(centroid(s)[k].real)
-        observers[f"j_im_{k}"] = lambda t, s, k=k: float(centroid(s)[k].imag)
-    _, series = integrate(ens, _integrator_config(cfg), observers)
+        series.series[f"j_re_{k}"] = centroids[:, k].real
+        series.series[f"j_im_{k}"] = centroids[:, k].imag
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "simulate_observables.csv"

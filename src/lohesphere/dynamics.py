@@ -105,7 +105,7 @@ class Ensemble:
     @property
     def common_frequency(self) -> NDArray[np.complexfloating]:
         if not self.homogeneous:
-            raise ValueError("ensemble frequencies are heterogeneous")
+            raise ValueError("ensemble frequencies are heterogeneous, not homogeneous")
         return self.frequencies[(0,) * (self.frequencies.ndim - 2)]
 
     def replace_states(self, states: NDArray[np.complexfloating]) -> "Ensemble":

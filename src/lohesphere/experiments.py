@@ -160,6 +160,7 @@ class ExperimentConfig(RunConfig):
                 len(self.p_values) >= 1 and all(p >= 1 for p in self.p_values),
                 "one or more orders p >= 1",
             ),
+            "t_mid": (0 <= self.t_mid < self.t_long, f"0 <= t_mid < t_long = {self.t_long:g}"),
             "n_grid": (
                 len(grid) >= 2
                 and grid[0] >= 1
@@ -310,10 +311,10 @@ def standard_observers(params: CouplingParams, with_dj: bool) -> dict:
     """Observer set recorded along every experiment trajectory.
 
     The observers of one record share one pair scan for F and G, one
-    uniform measure and one R.  They are kept for the last states array
-    seen, matched by identity: ``integrate`` passes every observer of a
-    record the same array and never writes into it, and the kept reference
-    stops the array's id from being reused by the next record's array.
+    uniform measure and one R.  They are kept for the last snapshot seen,
+    matched by identity: ``integrate`` passes every observer of a record
+    the same recorded snapshot, and the kept reference stops its id from
+    being reused by the next record's snapshot.
     """
     last: dict = {}
 
@@ -350,23 +351,24 @@ def pair_inequality_check(series: ObservableSeries) -> CheckResult:
     )
 
 
-def fd_r_squared_rate(ens: Ensemble, h: float = 1e-3) -> float:
-    """Centered finite difference of R^2 along the flow, Richardson-extrapolated once."""
+def fd_r_squared_rate(ens: Ensemble, h: float = 1e-3) -> float | NDArray:
+    """Centered finite difference of R^2 along the flow, Richardson-extrapolated once.
 
-    def rhs(states):
-        return lhs_rhs(ens.replace_states(states))
-
-    def r2_after(step_h: float) -> float:
-        states = rk4_step(ens.states, step_h, rhs) if step_h != 0.0 else ens.states
-        zc = states.mean(axis=0)
-        return float(np.vdot(zc, zc).real)
-
-    def centered(step_h: float) -> float:
-        return (r2_after(step_h) - r2_after(-step_h)) / (2.0 * step_h)
-
-    d_h = centered(h)
-    d_h2 = centered(h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+    ``ens`` may be a batch, (..., N, d).  The probes at +h, -h, +h/2 and -h/2
+    of every member advance in one RK4 step, on a repeated copy of the
+    states (a stride-0 view would change the bits of the centroid sums).
+    Returns one rate per member, or a float for a single ensemble.
+    """
+    steps = np.array([h, -h, h / 2.0, -h / 2.0])
+    repeated = np.repeat(ens.states[..., None, :, :], 4, axis=-3)
+    probes = Ensemble(repeated, ens.frequencies[..., None, :, :, :], ens.params)
+    moved = rk4_step(repeated, steps[:, None, None], lambda s: lhs_rhs(probes.replace_states(s)))
+    zc = moved.mean(axis=-2)
+    # one np.vdot per probe: a vectorized |zc|^2 sums in another order
+    r2 = np.reshape([np.vdot(z, z).real for z in zc.reshape(-1, zc.shape[-1])], zc.shape[:-1])
+    centered = (r2[..., 0::2] - r2[..., 1::2]) / (2.0 * steps[0::2])
+    rate = (4.0 * centered[..., 1] - centered[..., 0]) / 3.0
+    return float(rate) if ens.states.ndim == 2 else rate
 
 
 def fit_decay_rate(times: NDArray, values: NDArray) -> float:
@@ -386,6 +388,12 @@ def _saturation_check(
     sup_mid = float(np.max(ratio[times <= t_mid + 1e-12]))
     sup_long = float(np.max(ratio))
     return CheckResult(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
+
+
+def _require_common_frequency(cfg: ExperimentConfig, spread: float) -> None:
+    """The claims of e1, e3, e5, e6 and e7 hold for zero or common frequency only."""
+    if cfg.heterogeneous and spread > 0:
+        raise ConfigError(f"{cfg.experiment} requires zero or common frequency, not heterogeneous")
 
 
 def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
@@ -417,6 +425,7 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
     differential inequality of F by finite differences, and fits the empirical
     decay exponent (report-only against the guaranteed rate).
     """
+    _require_common_frequency(cfg, cfg.omega_scale)
     ens = _admissible_ensemble(cfg)
     params = ens.params
     f0 = functional_F(ens.states)
@@ -660,8 +669,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     invariant.  The claim is stated for a common free flow only, so
     heterogeneous frequencies are a config error.
     """
-    if cfg.heterogeneous and cfg.omega_scale > 0:
-        raise ConfigError("e3 requires zero or common frequency, not heterogeneous")
+    _require_common_frequency(cfg, cfg.omega_scale)
     n_max = cfg.n_grid[-1]
     states = _admissible_ensemble(replace(cfg, n=n_max)).states
 
@@ -812,10 +820,9 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     These claims are stated for zero or common frequency, so heterogeneous
     frequencies are a config error.
     """
+    _require_common_frequency(cfg, cfg.omega_scale)
     if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
         raise ConfigError("e5 requires kappa0 > 0 and kappa0 + 2 kappa1 >= 0")
-    if cfg.heterogeneous and cfg.omega_scale > 0:
-        raise ConfigError("e5 requires zero or common frequency, not heterogeneous")
     # the defect-decay claim needs admissible data; monotonicity, the rate
     # identity and the dJ/dt bound hold for any data in the aligned regime
     # (including the boundary kappa1 = -kappa0/2, where no cap is admissible)
@@ -867,14 +874,12 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
 
     # analytic rate vs centered finite differences at early probes
     n_probes = min(10, len(times))
+    probes = traj.snapshots[:n_probes]
+    fd = fd_r_squared_rate(Ensemble(probes, ens.frequencies, params), h=1e-3)
     rel_errs = []
-    for k in range(n_probes):
-        snap_ens = ens.replace_states(traj.snapshots[k])
-        analytic = r_squared_rate(
-            EmpiricalMeasure.uniform(traj.snapshots[k]), cfg.kappa0, cfg.kappa1
-        )
-        fd = fd_r_squared_rate(snap_ens, h=1e-3)
-        rel_errs.append(abs(analytic - fd) / max(abs(analytic), 1e-12))
+    for snap, fd_k in zip(probes, fd):
+        analytic = r_squared_rate(EmpiricalMeasure.uniform(snap), cfg.kappa0, cfg.kappa1)
+        rel_errs.append(abs(analytic - fd_k) / max(abs(analytic), 1e-12))
     checks.append(
         CheckResult(
             "rate_matches_finite_difference",
@@ -955,8 +960,12 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     configuration (1 - 1/N) delta_y + (1/N) delta_-y, the antipodal atom never
     leaving its exceptional position.
     """
+    _require_common_frequency(cfg, cfg.omega_scale)
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     checks: list[CheckResult] = []
+    # scenario (b)'s own seed, drawn first: too few particles fail before any run
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    states_b = _mirror_cluster_states(rng, cfg.n, cfg.d, cfg.cluster_spread)
 
     # scenario (a): admissible data -> Dirac limit along J
     ens = _admissible_ensemble(cfg)
@@ -990,9 +999,7 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(pair_inequality_check(series))
 
     # scenario (b): real flow with an exactly antipodal exceptional atom
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     t_end_b = min(cfg.t_end, 20.0)
-    states_b = _mirror_cluster_states(rng, cfg.n, cfg.d, cfg.cluster_spread)
     ens_b = Ensemble.zero_frequency(states_b, CouplingParams(cfg.kappa0, 0.0))
     icfg_b = _integrator_config(cfg, t_end=t_end_b)
     traj_b, _ = integrate(ens_b, icfg_b)
@@ -1073,11 +1080,12 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
     then asserts max_j ||z_j(t) - exp(Omega t) w_j(t)|| <= 1e-6 on t <= t_end
     and that the scalar observables F, G, R agree between the runs to 1e-8.
     """
+    # spread 0 would make the splitting trivial, so e7 then runs at spread 1
+    scale = cfg.omega_scale if cfg.omega_scale > 0 else 1.0
+    _require_common_frequency(cfg, scale)
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     rng = np.random.default_rng(cfg.seed)
     states = random_sphere_states(rng, cfg.n, cfg.d)
-    # spread 0 would make the splitting trivial, so e7 then runs at spread 1
-    scale = cfg.omega_scale if cfg.omega_scale > 0 else 1.0
     omega = random_frequencies(rng, cfg.n, cfg.d, scale, heterogeneous=False)
 
     icfg = _integrator_config(cfg)
@@ -1088,7 +1096,7 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
 
     # exp(Omega t) is unitary, so ||z_j - exp(Omega t) w_j|| = ||exp(-Omega t) z_j - w_j||
     split = split_transform(traj_full)
-    deviation = float(np.max(np.linalg.norm(split.snapshots - traj_zero.snapshots, axis=2)))
+    deviation = float(np.max(np.linalg.norm(split - traj_zero.snapshots, axis=2)))
 
     obs_gap = max(
         float(np.max(np.abs(series_full.column(name) - series_zero.column(name))))

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import CouplingParams, Ensemble, lhs_rhs
+from .dynamics import Ensemble, lhs_rhs
 from .geometry import matrix_exp_family, row_norms
 from .observables import ObservableSeries
 
@@ -84,19 +84,16 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded run: strictly increasing times and the state snapshots at them.
 
-    A snapshot has the run's (..., N, d) state shape.  Frequencies are
-    constant in time, so only states are stored per snapshot; the frequency
-    array and coupling params ride along once for downstream consumers
-    (observables, the splitting transform).  ``integrate`` puts its run
-    counts into metadata: ``steps``, ``rhs_evals`` and ``max_norm_drift``,
-    the worst norm drift before a renormalization.
+    A snapshot has the run's (..., N, d) state shape.  ``ensemble`` is the
+    ``Ensemble`` the run started from (the splitting transform reads its
+    common frequency).  ``integrate`` puts its run counts into metadata:
+    ``steps``, ``rhs_evals`` and ``max_norm_drift``, the worst norm drift
+    before a renormalization.
     """
 
     times: NDArray[np.floating]
     snapshots: NDArray[np.complexfloating]        # (T, ..., N, d)
-    frequencies: NDArray[np.complexfloating]      # (..., N, d, d)
-    params: CouplingParams
-    homogeneous: bool = True
+    ensemble: Ensemble
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -113,7 +110,7 @@ def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) 
     inputs ``y + (dt/2) k1`` and so on, evaluated in place: the result is
     the array that the second ``rhs`` call returned, and the stage slopes
     are overwritten, so ``rhs`` must return a new array on every call.
-    ``y`` is never written.
+    ``y`` is never written; ``dt`` may be an array that broadcasts against it.
     """
     k1 = rhs(y)
     stage = np.multiply(k1, 0.5 * dt)
@@ -168,7 +165,8 @@ def integrate(
     A batch advances in one loop, each member bit for bit as in its own
     run.  Observers map a name to a callback ``(t, states) -> float`` invoked at
     every recorded time (step multiples of record_every, always including
-    t = 0 and the final step).
+    t = 0 and the final step).  Every observer of a record gets the same
+    object, the recorded snapshot, which the run never writes again.
     """
     observers = dict(observers or {})
     n_steps = cfg.n_steps
@@ -194,14 +192,14 @@ def integrate(
         t = step * cfg.dt
         times[n_recorded] = t
         snapshots[n_recorded] = states
+        snap = snapshots[n_recorded]
         n_recorded += 1
         for name, fn in observers.items():
-            columns[name].append(float(fn(t, states)))
+            columns[name].append(float(fn(t, snap)))
 
     record(0)
     max_drift = 0.0
     for step in range(1, n_steps + 1):
-        # a new states array every step: observers match states by identity
         states = rk4_step(states, cfg.dt, rhs)
         drift = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
         max_drift = max(max_drift, drift)
@@ -211,9 +209,7 @@ def integrate(
     traj = Trajectory(
         times=times,
         snapshots=snapshots,
-        frequencies=ens.frequencies,
-        params=ens.params,
-        homogeneous=ens.homogeneous,
+        ensemble=ens,
         metadata={"steps": n_steps, "rhs_evals": rhs_evals, "max_norm_drift": max_drift},
     )
     series = ObservableSeries(
@@ -223,24 +219,17 @@ def integrate(
     return traj, series
 
 
-def split_transform(traj: Trajectory) -> Trajectory:
+def split_transform(traj: Trajectory) -> NDArray[np.complexfloating]:
     """Undo the free rotation of a homogeneous run: ``w_j(t) = exp(-Omega t) z_j(t)``.
 
-    Omega is the run's own common frequency.  The propagator family is
-    eigendecomposed once and evaluated per snapshot time; unitarity keeps
-    every transformed snapshot on the sphere.
+    Omega is ``traj.ensemble.common_frequency`` (a heterogeneous run raises),
+    and the result is the rotated (T, ..., N, d) snapshot stack.  The
+    propagator family is eigendecomposed once and evaluated per snapshot
+    time; unitarity keeps every transformed snapshot on the sphere.
     """
-    if not traj.homogeneous:
-        raise ValueError("splitting transform requires a homogeneous ensemble")
-    propagator = matrix_exp_family(traj.frequencies[(0,) * (traj.frequencies.ndim - 2)])
+    propagator = matrix_exp_family(traj.ensemble.common_frequency)
     transformed = np.empty_like(traj.snapshots)
     for k, t in enumerate(traj.times):
         u_back = propagator(-float(t))
         transformed[k] = traj.snapshots[k] @ u_back.T
-    return Trajectory(
-        times=traj.times.copy(),
-        snapshots=transformed,
-        frequencies=np.zeros_like(traj.frequencies),
-        params=traj.params,
-        homogeneous=True,
-    )
+    return transformed

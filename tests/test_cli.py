@@ -153,6 +153,11 @@ def test_e5_with_heterogeneous_frequencies_exits_2(tmp_path, capsys):
                "heterogeneous": True, "n_samples": 50},
         # e3 reads only the states of its draw, so it would ignore these frequencies
         "e3": {"experiment": "e3", "omega_scale": 0.5, "heterogeneous": True},
+        # e1 and e6 used to fail their bounds after full runs and exit 1
+        "e1": {"experiment": "e1", "omega_scale": 0.5, "heterogeneous": True},
+        "e6": {"experiment": "e6", "omega_scale": 0.5, "heterogeneous": True},
+        # e7 runs at spread 1 when omega_scale is 0, and used to draw a common Omega
+        "e7": {"experiment": "e7", "omega_scale": 0.0, "heterogeneous": True},
     }
     for name, config in configs.items():
         cfg = _write(tmp_path / f"{name}.json", config)

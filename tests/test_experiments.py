@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lohesphere import experiments
-from lohesphere.dynamics import CouplingParams, Ensemble
+from lohesphere.dynamics import CouplingParams, Ensemble, lhs_rhs
 from lohesphere.experiments import (
     DEFAULTS,
     CheckResult,
@@ -14,7 +16,7 @@ from lohesphere.experiments import (
     run_e6,
     run_experiment,
 )
-from lohesphere.integrators import IntegratorConfig, integrate
+from lohesphere.integrators import IntegratorConfig, integrate, rk4_step
 from lohesphere.observables import (
     aggregation_defect,
     dj_dt_norm_bound_check,
@@ -200,6 +202,8 @@ def test_unknown_key_rejected():
         ("p_values", [float("inf")]),
         ("n", float("inf")),
         ("n_grid", [16, float("-inf")]),
+        ("t_mid", -1.0),     # the t <= t_mid window of the saturation check is empty
+        ("t_mid", 100.0),    # = t_long: the saturation check compares a sup with itself
     ],
 )
 def test_mistyped_value_rejected(key, value):
@@ -328,6 +332,16 @@ def test_e7_zero_frequency_runs_bitwise_identical():
     assert np.array_equal(traj_a.snapshots, traj_b.snapshots)
 
 
+def test_e6_too_few_particles_is_a_config_error_before_any_run(monkeypatch):
+    # scenario b's mirror cluster needs 3 particles; scenario a used to run first
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    with pytest.raises(ConfigError, match="at least 3 particles"):
+        run_experiment({"experiment": "e6", "n": 2})
+
+
 @pytest.mark.parametrize("experiment", ["e2", "e4"])
 def test_long_horizon_config_error_comes_before_any_run(monkeypatch, experiment):
     # a t_long out of range is a config error before the first step is taken
@@ -400,6 +414,47 @@ def test_e5_monotone_under_common_rotation():
     )
     assert next(c for c in report.checks if c.name == "r_squared_nondecreasing").passed
     assert next(c for c in report.checks if c.name == "rate_matches_finite_difference").passed
+
+
+def _fd_rate_reference(ens, h):
+    """The rate from four probes, each its own scalar-step RK4 call."""
+
+    def r2_after(step_h):
+        stepped = rk4_step(ens.states, step_h, lambda s: lhs_rhs(ens.replace_states(s)))
+        zc = stepped.mean(axis=0)
+        return float(np.vdot(zc, zc).real)
+
+    def centered(step_h):
+        return (r2_after(step_h) - r2_after(-step_h)) / (2.0 * step_h)
+
+    return (4.0 * centered(h / 2.0) - centered(h)) / 3.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(0.0, False), (1.0, False), (1.0, True)]),
+    st.integers(1, 10),
+    st.integers(1, 69),
+    st.integers(1, 5),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_fd_r_squared_rate_is_each_snapshots_own(mode, b, n, d, kappa0, kappa1, seed):
+    # one batched RK4 step for every probe of every member, bit for bit the
+    # member's own call and four separate scalar-step probes
+    rng = np.random.default_rng(seed)
+    states = np.stack([random_sphere_states(rng, n, d) for _ in range(b)])
+    freqs = random_frequencies(rng, n, d, *mode)
+    params = CouplingParams(kappa0, kappa1)
+    rates = experiments.fd_r_squared_rate(Ensemble(states, freqs, params), h=1e-3)
+    assert rates.shape == (b,)
+    for k in range(b):
+        member = Ensemble(states[k], freqs, params)
+        own = experiments.fd_r_squared_rate(member, h=1e-3)
+        assert isinstance(own, float)
+        assert np.float64(own).tobytes() == rates[k].tobytes()
+        assert np.float64(own).tobytes() == np.float64(_fd_rate_reference(member, 1e-3)).tobytes()
 
 
 def test_report_payload_shape():

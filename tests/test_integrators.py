@@ -140,7 +140,7 @@ def test_split_transform_identity_for_zero_frequency():
     ens = Ensemble.zero_frequency(random_sphere_states(rng, 6, 3), PARAMS)
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.5, dt=1e-2, record_every=5))
     split = split_transform(traj)
-    np.testing.assert_array_equal(split.snapshots, traj.snapshots)
+    np.testing.assert_array_equal(split, traj.snapshots)
 
 
 def test_split_transform_free_flow_is_constant():
@@ -151,7 +151,7 @@ def test_split_transform_free_flow_is_constant():
     ens = Ensemble.with_common_frequency(states, omega, CouplingParams(0.0, 0.0))
     traj, _ = integrate(ens, IntegratorConfig(t_end=2.0, dt=1e-3, record_every=200))
     split = split_transform(traj)
-    spread = np.max(np.abs(split.snapshots - split.snapshots[0][None]))
+    spread = np.max(np.abs(split - split[0][None]))
     assert spread < 1e-9
 
 
@@ -175,10 +175,10 @@ def test_split_transform_solves_zero_frequency_system():
     traj, _ = integrate(ens, IntegratorConfig(t_end=0.2, dt=1e-3, record_every=1))
     split = split_transform(traj)
     worst = 0.0
-    for k in range(1, len(split.times) - 1):
-        h = split.times[k + 1] - split.times[k]
-        w_dot = (split.snapshots[k + 1] - split.snapshots[k - 1]) / (2.0 * h)
-        residual = w_dot - lhs_rhs(Ensemble.zero_frequency(split.snapshots[k], PARAMS))
+    for k in range(1, len(traj.times) - 1):
+        h = traj.times[k + 1] - traj.times[k]
+        w_dot = (split[k + 1] - split[k - 1]) / (2.0 * h)
+        residual = w_dot - lhs_rhs(Ensemble.zero_frequency(split[k], PARAMS))
         worst = max(worst, float(np.max(np.abs(residual))))
     assert worst < 1e-6
 
@@ -291,6 +291,21 @@ def test_rk4_step_leaves_its_input_unchanged():
     stepped = rk4_step(ens.states, 1e-2, lambda s: lhs_rhs(ens.replace_states(s)))
     assert np.array_equal(ens.states, y)
     assert stepped is not ens.states
+
+
+def test_observers_of_one_record_get_the_recorded_snapshot():
+    # one object per record, shared by every observer and never written again
+    rng = np.random.default_rng(20)
+    ens = Ensemble.zero_frequency(random_sphere_states(rng, 6, 3), PARAMS)
+    seen = {"a": [], "b": []}
+    observers = {name: lambda t, s, name=name: seen[name].append(s) or 0.0 for name in seen}
+    traj, _ = integrate(ens, IntegratorConfig(t_end=0.05, dt=1e-2, record_every=2), observers)
+    assert len(seen["a"]) == len(seen["b"]) == len(traj.times) == 4
+    for k, (a, b) in enumerate(zip(seen["a"], seen["b"])):
+        assert a is b
+        assert np.shares_memory(a, traj.snapshots)
+        assert np.array_equal(a, traj.snapshots[k])
+    assert traj.ensemble is ens
 
 
 def test_run_counts_in_trajectory_metadata():

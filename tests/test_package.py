@@ -1,6 +1,6 @@
 """Public surface: every module star-imports, every package export and every
-name a demo imports resolves, and scipy loads only with the first transport
-solve."""
+name a demo imports resolves, the splitting demo runs, and scipy loads only
+with the first transport solve."""
 
 import ast
 import importlib
@@ -121,3 +121,10 @@ def test_runs_without_transport_never_load_scipy(tmp_path):
 
 def test_transport_solvers_load_scipy_on_first_use():
     _run_fresh(_TRANSPORT)
+
+
+def test_splitting_demo_runs():
+    # the demo reads split_transform's result, which parsing its imports does not check
+    demo = next(demo for demo in DEMOS if demo.name == "04_solution_splitting.py")
+    out = _run_fresh(demo.read_text(encoding="utf-8"))
+    assert "split_transform(full run) vs direct zero-frequency run: max gap" in out
