@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import CouplingParams, Ensemble
 from .experiments import (
     EXPERIMENT_IDS,
     ConfigError,
@@ -40,11 +39,11 @@ from .experiments import (
     _admissible_ensemble,
     _coerce,
     _integrator_config,
+    _uniform_ensemble,
     run_experiment,
     standard_observers,
 )
 from .integrators import IntegrationError, integrate
-from .sampling import random_frequencies, random_sphere_states
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -138,16 +137,8 @@ class SimulateConfig(RunConfig):
 def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
     """Integrate one configuration and write its observable series + manifest."""
     cfg = SimulateConfig.from_dict(raw)
-    params = CouplingParams(cfg.kappa0, cfg.kappa1)
-    if cfg.init == "admissible":
-        ens = _admissible_ensemble(cfg)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        states = random_sphere_states(rng, cfg.n, cfg.d)
-        freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
-        ens = Ensemble(states, freqs, params)
-
-    traj, series = integrate(ens, _integrator_config(cfg), standard_observers(params, False))
+    ens = _admissible_ensemble(cfg) if cfg.init == "admissible" else _uniform_ensemble(cfg)
+    traj, series = integrate(ens, _integrator_config(cfg), standard_observers(ens.params, False))
     centroids = traj.snapshots.mean(axis=1)
     for k in range(cfg.d):
         series.series[f"j_re_{k}"] = centroids[:, k].real
@@ -186,6 +177,8 @@ def _axis_values(raw: dict):
     if not isinstance(axis, dict) or "parameter" not in axis:
         raise ConfigError("sweep config needs an 'axis' object with a 'parameter' key")
     parameter = axis["parameter"]
+    if not isinstance(parameter, str):
+        raise ConfigError(f"sweep axis 'parameter': expected a config key name, got {parameter!r}")
     if "values" in axis:
         values = axis["values"]
         if not isinstance(values, list):

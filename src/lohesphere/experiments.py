@@ -97,10 +97,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ConfigError("n and d must be positive")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be nonnegative")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be at least 2")
         if not self.omega_scale >= 0:
@@ -177,18 +173,8 @@ class ExperimentConfig(RunConfig):
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if "experiment" not in raw:
             raise ConfigError("config is missing the 'experiment' key")
-        experiment = raw["experiment"]
-        if experiment not in DEFAULTS:
-            raise ConfigError(
-                f"unknown experiment id {experiment!r}; expected one of {sorted(EXPERIMENT_IDS)}"
-            )
-        return super().from_dict(raw, DEFAULTS[experiment])
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("horizons", "p_values", "n_grid"):
-            out[key] = list(out[key])
-        return out
+        # __post_init__ rejects an id with no defaults, whatever its type
+        return super().from_dict(raw, DEFAULTS.get(str(raw["experiment"]), {}))
 
 
 def _coerce(type_name: str, value):
@@ -271,7 +257,7 @@ class ExperimentReport:
     def to_payload(self) -> dict:
         return {
             "experiment": self.experiment,
-            "config": self.config,
+            "config": _jsonable(self.config),
             "seed": self.seed,
             "passed": self.passed,
             "checks": [asdict(c) for c in self.checks],
@@ -299,7 +285,7 @@ def _jsonable(obj):
 
 def _integrator_config(cfg: RunConfig, t_end: float | None = None) -> IntegratorConfig:
     """Stepping up to t_end (default ``cfg.t_end``) in about ``cfg.n_samples`` records;
-    a step count ``t_end / dt`` out of range is a config error."""
+    an invalid dt or t_end, or a step count ``t_end / dt`` out of range, is a config error."""
     try:
         icfg = IntegratorConfig(t_end=cfg.t_end if t_end is None else t_end, dt=cfg.dt)
     except ValueError as exc:
@@ -391,7 +377,7 @@ def _saturation_check(
 
 
 def _require_common_frequency(cfg: ExperimentConfig, spread: float) -> None:
-    """The claims of e1, e3, e5, e6 and e7 hold for zero or common frequency only."""
+    """The claims of e1, e3, e4, e5, e6 and e7 hold for zero or common frequency only."""
     if cfg.heterogeneous and spread > 0:
         raise ConfigError(f"{cfg.experiment} requires zero or common frequency, not heterogeneous")
 
@@ -410,6 +396,23 @@ def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _uniform_ensemble(cfg: RunConfig) -> Ensemble:
+    """Uniform states on the sphere, then the config's frequencies, both
+    drawn from ``default_rng(cfg.seed)``."""
+    rng = np.random.default_rng(cfg.seed)
+    states = random_sphere_states(rng, cfg.n, cfg.d)
+    freqs = random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous)
+    return Ensemble(states, freqs, CouplingParams(cfg.kappa0, cfg.kappa1))
+
+
+def _perturbed_pair(cfg: ExperimentConfig, seed: np.random.SeedSequence) -> Ensemble:
+    """The config's admissible draw and a copy jittered by ``cfg.jitter`` from
+    ``default_rng(seed)``, as one (2, N, d) batch at the draw's common frequency."""
+    ens = _admissible_ensemble(cfg)
+    other = jitter_states(np.random.default_rng(seed), ens.states, cfg.jitter)
+    return Ensemble(np.stack([ens.states, other]), ens.common_frequency, ens.params)
 
 
 # ---------------------------------------------------------------------------
@@ -524,26 +527,31 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     across n_seeds independent draws.  Identical initial data must stay
     identical to 1e-9.  For admissible data the p = 2 ratio saturates: the
     sup over t <= t_long exceeds the sup over t <= t_mid by at most 5%.
-    The n_seeds pairs run as one (n_seeds, 2, N, d) batch.
+    The seed pairs and the identical pair, last, run as one (n_seeds + 1, 2, N, d) batch.
     """
     params = CouplingParams(cfg.kappa0, cfg.kappa1)
     icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_seeds + 1)
 
-    states = np.empty((cfg.n_seeds, 2, cfg.n, cfg.d), dtype=np.complex128)
+    states = np.empty((cfg.n_seeds + 1, 2, cfg.n, cfg.d), dtype=np.complex128)
     freqs = []
     for k in range(cfg.n_seeds):
         rng = np.random.default_rng(seeds[k])
         states[k, 0] = random_sphere_states(rng, cfg.n, cfg.d)
         states[k, 1] = jitter_states(rng, states[k, 0], cfg.jitter)
         freqs.append(random_frequencies(rng, cfg.n, cfg.d, cfg.omega_scale, cfg.heterogeneous))
+    # the last pair starts identical, at zero frequency
+    states[-1] = random_sphere_states(np.random.default_rng(seeds[-1]), cfg.n, cfg.d)
+    freqs.append(np.zeros_like(freqs[-1]))
     # one (d, d) or (N, d, d) draw per seed, shared by both members of its pair
-    freqs = np.reshape(freqs, (cfg.n_seeds, 1, -1, cfg.d, cfg.d))
+    freqs = np.reshape(freqs, (cfg.n_seeds + 1, 1, -1, cfg.d, cfg.d))
     # the grid-density cross-check below reads the p = 2 track
     times, dists = _pair_tracks(
         Ensemble(states, freqs, params), icfg, {*cfg.p_values, 2.0}, lp_distance
     )
+    identical = dists[2.0][:, -1]
+    dists = {p: track[:, :-1] for p, track in dists.items()}
     # each seed's sup over t <= T against its bound; max() skips the NaN of a
     # pair that starts at distance 0
     gain = {h: _stability_constant(cfg.kappa0, cfg.kappa1, h) for h in cfg.horizons}
@@ -586,14 +594,10 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     # identical initial data stay identical (uniqueness of the flow)
-    rng = np.random.default_rng(seeds[-1])
-    states = random_sphere_states(rng, cfg.n, cfg.d)
-    pair = Ensemble.zero_frequency(np.stack([states, states]), params)
-    _, dists = _pair_tracks(pair, icfg, (2.0,), lp_distance)
     checks.append(
         CheckResult(
             "identical_data_stay_identical",
-            float(np.max(dists[2.0])),
+            float(np.max(identical)),
             0.0,
             1e-9,
             detail="sup_t ||Z - Z~||_2 for Z~0 = Z0",
@@ -602,10 +606,7 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
 
     # admissible long-run saturation of the p = 2 ratio
     adm_cfg = replace(cfg, heterogeneous=False, omega_scale=0.0)
-    ens = _admissible_ensemble(adm_cfg)
-    rng = np.random.default_rng(seeds[-1].spawn(1)[0])
-    other = jitter_states(rng, ens.states, cfg.jitter)
-    pair = Ensemble.zero_frequency(np.stack([ens.states, other]), params)
+    pair = _perturbed_pair(adm_cfg, seeds[-1].spawn(1)[0])
     times, dists = _pair_tracks(pair, long_cfg, (2.0,), lp_distance)
     saturation, sup_mid, sup_long = _saturation_check(
         "admissible_uniform_in_time",
@@ -724,18 +725,17 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
 def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     """W_p stability of empirical-measure solutions under initial perturbation.
 
-    Two atomic measures whose initial states differ by a small jitter are
-    integrated with identical frequencies; asserts
+    Two admissible atomic measures whose initial states differ by a small
+    jitter are integrated at the same zero or common frequency; asserts
     W_p(mu_t, nu_t) <= max(G_T, 1) W_p(mu_0, nu_0) for t <= T over the
-    horizons and p values, and in the admissible homogeneous case that the
-    p = 2 ratio at t_long exceeds the t_mid ratio by at most 5%.
+    horizons and p values, and that the p = 2 ratio at t_long exceeds the
+    t_mid ratio by at most 5%.  W_p ignores frequency tags, so heterogeneous
+    frequencies are a config error.
     """
+    _require_common_frequency(cfg, cfg.omega_scale)
     icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
-    ens = _admissible_ensemble(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    other = jitter_states(rng, ens.states, cfg.jitter)
-    pair = Ensemble(np.stack([ens.states, other]), ens.frequencies, ens.params)
+    pair = _perturbed_pair(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     times, w_tracks = _pair_tracks(pair, icfg, cfg.p_values, wasserstein_nested_track)
     checks = []
@@ -818,7 +818,8 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     kappa1) at every sample, and reports the observed bound on the second
     difference of R^2 (its theoretical constant is never pinned down).
     These claims are stated for zero or common frequency, so heterogeneous
-    frequencies are a config error.
+    frequencies are a config error.  Gains that admit no cap run uniform
+    states at the config's own frequency, without the defect check.
     """
     _require_common_frequency(cfg, cfg.omega_scale)
     if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
@@ -831,9 +832,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         ens = _admissible_ensemble(cfg)
     except ConfigError:
         admissible_mode = False
-        rng = np.random.default_rng(cfg.seed)
-        states = random_sphere_states(rng, cfg.n, cfg.d)
-        ens = Ensemble.zero_frequency(states, CouplingParams(cfg.kappa0, cfg.kappa1))
+        ens = _uniform_ensemble(cfg)
     params = ens.params
     icfg = _integrator_config(cfg)
     traj, series = integrate(ens, icfg, standard_observers(params, with_dj=True))
@@ -1083,14 +1082,10 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
     # spread 0 would make the splitting trivial, so e7 then runs at spread 1
     scale = cfg.omega_scale if cfg.omega_scale > 0 else 1.0
     _require_common_frequency(cfg, scale)
-    params = CouplingParams(cfg.kappa0, cfg.kappa1)
-    rng = np.random.default_rng(cfg.seed)
-    states = random_sphere_states(rng, cfg.n, cfg.d)
-    omega = random_frequencies(rng, cfg.n, cfg.d, scale, heterogeneous=False)
-
+    ens_full = _uniform_ensemble(replace(cfg, omega_scale=scale))
+    params = ens_full.params
     icfg = _integrator_config(cfg)
-    ens_full = Ensemble.with_common_frequency(states, omega, params)
-    ens_zero = Ensemble.zero_frequency(states, params)
+    ens_zero = Ensemble.zero_frequency(ens_full.states, params)
     traj_full, series_full = integrate(ens_full, icfg, standard_observers(params, False))
     traj_zero, series_zero = integrate(ens_zero, icfg, standard_observers(params, False))
 
@@ -1169,5 +1164,5 @@ def run_experiment(cfg: ExperimentConfig | dict) -> ExperimentReport:
     start = time.perf_counter()
     report = runner(cfg)
     report.wall_clock = time.perf_counter() - start
-    report.experiment, report.config, report.seed = cfg.experiment, cfg.to_dict(), cfg.seed
+    report.experiment, report.config, report.seed = cfg.experiment, asdict(cfg), cfg.seed
     return report

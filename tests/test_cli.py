@@ -78,6 +78,8 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         {"omega_scale": -1, "init": "uniform"},
         {"t_end": 1e300, "dt": 1e-10},
         {"dt": 1e-300},
+        {"dt": 0},
+        {"t_end": -1},
     ],
     ids=[
         "n_samples_1",
@@ -90,6 +92,8 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         "omega_scale_negative_uniform",
         "steps_infinite",
         "steps_out_of_range",
+        "dt_zero",
+        "t_end_negative",
     ],
 )
 def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
@@ -158,6 +162,9 @@ def test_e5_with_heterogeneous_frequencies_exits_2(tmp_path, capsys):
         "e6": {"experiment": "e6", "omega_scale": 0.5, "heterogeneous": True},
         # e7 runs at spread 1 when omega_scale is 0, and used to draw a common Omega
         "e7": {"experiment": "e7", "omega_scale": 0.0, "heterogeneous": True},
+        # e4's W_p ignores frequency tags, and it used to pass every check here
+        "e4": {"experiment": "e4", "n": 8, "t_long": 5.0, "t_mid": 2.0, "omega_scale": 0.5,
+               "heterogeneous": True},
     }
     for name, config in configs.items():
         cfg = _write(tmp_path / f"{name}.json", config)
@@ -225,8 +232,18 @@ def test_sweep_empty_axis_exits_2(tmp_path):
         ({"start": 0.0, "stop": None, "num": 2}, "stop"),
         ({"values": 5}, "values"),
         ({"values": "0.1"}, "values"),
+        ({"parameter": ["kappa1"], "values": [0.1]}, "parameter"),
     ],
-    ids=["fraction", "bool", "string", "start_string", "stop_null", "values_int", "values_str"],
+    ids=[
+        "fraction",
+        "bool",
+        "string",
+        "start_string",
+        "stop_null",
+        "values_int",
+        "values_str",
+        "parameter_list",
+    ],
 )
 def test_sweep_axis_num_must_be_an_integer(tmp_path, capsys, axis, key):
     cfg = _write(
@@ -335,6 +352,21 @@ def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert [row["passed"] for row in rows] == ["0"]
     assert "config key 'p_values'" in rows[0]["error"]
+
+
+def test_sweep_list_experiment_point_becomes_failed_row(tmp_path):
+    # a list id used to escape as a TypeError, with no aggregate CSV or manifest
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {"experiment": "e7", "axis": {"parameter": "experiment", "values": [["e7"]]}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    assert (out / "manifest.json").exists()
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("passed")] for row in rows] == ["0"]
+    assert "unknown experiment id" in rows[0][header.index("error")]
 
 
 def test_sweep_tuple_axis_rows_match_header(tmp_path):

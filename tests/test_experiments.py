@@ -1,5 +1,8 @@
 """Experiment harnesses on scaled-down configs (full scale runs in acceptance)."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,8 +173,10 @@ def test_check_result_rejects_unknown_comparator():
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(ConfigError, match="unknown experiment"):
-        ExperimentConfig.from_dict({"experiment": "e9"})
+    # a list or an object id used to escape from_dict as a TypeError
+    for experiment in ("e9", ["e1"], {"id": "e1"}):
+        with pytest.raises(ConfigError, match="unknown experiment"):
+            ExperimentConfig.from_dict({"experiment": experiment})
 
 
 def test_unknown_key_rejected():
@@ -353,6 +358,56 @@ def test_long_horizon_config_error_comes_before_any_run(monkeypatch, experiment)
         run_experiment({"experiment": experiment, "t_long": 1e300, "n": 8})
 
 
+def _spy_integrate(monkeypatch):
+    """Record every ensemble that ``experiments.integrate`` runs."""
+    seen = []
+
+    def spy(ens, *args, **kwargs):
+        seen.append(ens)
+        return integrate(ens, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", spy)
+    return seen
+
+
+def test_e2_runs_its_identical_pair_in_the_seed_batch(monkeypatch):
+    # the seed batch with the identical pair last, its double density, the saturation pair
+    seen = _spy_integrate(monkeypatch)
+    report = run_experiment(
+        {"experiment": "e2", "n": 6, "n_seeds": 2, "t_long": 2.0, "t_mid": 1.0, "n_samples": 20}
+    )
+    assert [ens.states.shape for ens in seen] == [(3, 2, 6, 4), (2, 6, 4), (2, 6, 4)]
+    assert np.array_equal(seen[0].states[-1, 0], seen[0].states[-1, 1])
+    assert not np.any(seen[0].frequencies[-1])
+    assert next(c for c in report.checks if c.name == "identical_data_stay_identical").passed
+
+
+def test_e4_pair_stores_its_common_frequency_once(monkeypatch):
+    seen = _spy_integrate(monkeypatch)
+    report = run_experiment(
+        {"experiment": "e4", "n": 8, "t_long": 5.0, "t_mid": 2.0, "omega_scale": 0.5,
+         "n_samples": 40}
+    )
+    assert report.passed
+    assert len(seen) == 2
+    for pair in seen:
+        assert pair.homogeneous and np.any(pair.common_frequency)
+        assert pair.frequencies.strides[:2] == (0, 0)
+
+
+def test_e5_without_admissible_cap_keeps_its_common_frequency(monkeypatch):
+    # kappa1 = -kappa0 / 2 admits no cap; the uniform fallback used to run at Omega = 0
+    seen = _spy_integrate(monkeypatch)
+    report = run_experiment(
+        {"experiment": "e5", "n": 10, "kappa1": -0.5, "omega_scale": 0.5, "t_end": 5.0,
+         "n_samples": 50}
+    )
+    (ens,) = seen
+    assert ens.homogeneous and np.any(ens.common_frequency)
+    assert report.passed
+    assert not any(c.name == "defect_decay" for c in report.checks)
+
+
 def test_e4_zero_perturbation_is_trivially_stable():
     # nu0 = mu0: every W_p track stays at zero (uniqueness of the flow)
     report = run_experiment(
@@ -466,6 +521,11 @@ def test_report_payload_shape():
         payload["checks"][0]
     )
     assert payload["wall_clock_seconds"] > 0
+    # the snapshot holds the config's own fields; the payload turns tuples into lists
+    assert report.config == asdict(ExperimentConfig.from_dict({"experiment": "e7", **SMALL["e7"]}))
+    json.dumps(payload)
+    for key in ("p_values", "horizons", "n_grid"):
+        assert isinstance(payload["config"][key], list)
 
 
 def test_experiment_is_deterministic():

@@ -1,5 +1,5 @@
 """Public surface: every module star-imports, every package export and every
-name a demo imports resolves, the splitting demo runs, and scipy loads only
+name a demo imports resolves, the four quick demos run, and scipy loads only
 with the first transport solve."""
 
 import ast
@@ -123,8 +123,18 @@ def test_transport_solvers_load_scipy_on_first_use():
     _run_fresh(_TRANSPORT)
 
 
-def test_splitting_demo_runs():
-    # the demo reads split_transform's result, which parsing its imports does not check
-    demo = next(demo for demo in DEMOS if demo.name == "04_solution_splitting.py")
+#: one line of output per demo that runs in a few seconds; 01, 02 and 07 take longer
+DEMO_LINES = {
+    "03_wasserstein.py": "solver agreement on random uniform instances (N <= 7):",
+    "04_solution_splitting.py": "split_transform(full run) vs direct zero-frequency run: max gap",
+    "05_bipolar_exception.py": "final configuration is within",
+    "06_tensor_model.py": "rank-1 reduction: max |lt_rhs - lhs_rhs|",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_LINES))
+def test_demo_runs(name):
+    # a demo reads results, which parsing its imports does not check
+    demo = next(demo for demo in DEMOS if demo.name == name)
     out = _run_fresh(demo.read_text(encoding="utf-8"))
-    assert "split_transform(full run) vs direct zero-frequency run: max gap" in out
+    assert DEMO_LINES[name] in out
