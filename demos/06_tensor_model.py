@@ -44,7 +44,7 @@ print(f"rank-2 tangency: max |Re <dT_j/dt, T_j>_F| = {np.max(np.abs(radial)):.2e
 current = tens.tensors.copy()
 
 
-def tensor_flow(x):
+def tensor_flow(x, out=None):
     return lt_rhs(TensorEnsemble(
         x / np.linalg.norm(x.reshape(n, -1), axis=1)[:, None, None],
         tens.frequency_tensors, couplings))

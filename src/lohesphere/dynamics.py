@@ -30,6 +30,7 @@ from .geometry import as_skew_hermitian, check_unit_rows, row_sum
 __all__ = [
     "CouplingParams",
     "Ensemble",
+    "RhsWorkspace",
     "TensorEnsemble",
     "lhs_rhs",
     "lhs_rhs_pairwise",
@@ -75,6 +76,12 @@ class Ensemble:
             raise ValueError(f"states must have shape (..., N, d), got {states.shape}")
         check_unit_rows(states, "ensemble states")
 
+        if isinstance(frequencies, np.ndarray):
+            # a broadcast view's shared axes (stride 0) hold one matrix each:
+            # keep them length 1, so the copy is the matrices given, not their stack
+            frequencies = frequencies[tuple(
+                slice(0, 1) if stride == 0 else slice(None) for stride in frequencies.strides[:-2]
+            )]
         frequencies = np.array(frequencies, dtype=np.complex128)
         target, shape = (*states.shape, states.shape[-1]), frequencies.shape
         if shape[-2:] != target[-2:] or len(shape) > len(target) or any(
@@ -125,72 +132,132 @@ BLOCK_ROWS = 2048
 
 
 def _free_flow(
-    ens: Ensemble, states: NDArray[np.complexfloating], rows=slice(None), out=None
+    frequencies: NDArray[np.complexfloating], states: NDArray[np.complexfloating], out=None
 ) -> NDArray[np.complexfloating]:
-    """Omega_j z_j for the particles ``rows`` (axis -2) of ``states``, into ``out`` if given.
+    """Omega_j z_j for the (..., N, d, d) ``frequencies`` of ``states``, into ``out`` if given.
 
-    One einsum for every ensemble and batch; ``ens.homogeneous`` selects
-    nothing here.  A common frequency is read through its stride-0
+    One einsum for every ensemble and batch; ``Ensemble.homogeneous``
+    selects nothing here.  A common frequency is read through its stride-0
     (..., N, d, d) view, which gives the bits of the single-matrix
     ``einsum("jb,ab->ja", states, Omega)``.
     At its default ``optimize=False`` einsum never calls BLAS, whose threaded
     (N, d) x (d, d) product costs more to start than to compute and is not
     linear in N.
     """
-    if ens._omega_zero:
-        return np.zeros_like(states)
-    return np.einsum("...jab,...jb->...ja", ens.frequencies[..., rows, :, :], states, out=out)
+    return np.einsum("...jab,...jb->...ja", frequencies, states, out=out)
 
 
-def _coupling_into(
-    states: NDArray[np.complexfloating],
-    zc: NDArray[np.complexfloating],
-    params: CouplingParams,
-    out: NDArray[np.complexfloating],
-    scratch: NDArray[np.complexfloating],
-) -> None:
-    """Write the coupling force of ``states`` towards the centroid ``zc`` into ``out``.
+class _BlockBuffers:
+    """The temporaries of one block of ``rows`` particles of every batch member.
 
-    ``zc`` is (..., 1, d), one centroid per batch member; ``scratch`` (same
-    shape as ``states``) holds every (..., rows, d) temporary.
+    ``conj`` stacks ``conj(z_c)`` (repeated over the rows) on ``conj(z_j)``,
+    so one multiply by the states and one row sum give ``sums`` =
+    (<z_c, z_j>, <z_j, z_j>); ``inner``, ``imag`` and ``norm_sq`` are column
+    views of them.  ``rot`` holds the rotational factor and ``scratch`` one
+    (..., rows, d) product.
     """
+
+    __slots__ = ("conj", "conj_c", "conj_j", "sums", "inner", "imag", "norm_sq", "rot", "scratch")
+
+    def __init__(self, lead: tuple, rows: int, d: int):
+        self.conj = np.empty((2, *lead, rows, d), dtype=np.complex128)
+        self.conj_c, self.conj_j = self.conj
+        self.sums = np.empty((2, *lead, rows), dtype=np.complex128)
+        self.inner = self.sums[0][..., None]
+        self.imag = self.sums[0].imag[..., None]
+        self.norm_sq = self.sums[1].real[..., None]
+        self.rot = np.empty((*lead, rows, 1), dtype=np.complex128)
+        self.scratch = np.empty((*lead, rows, d), dtype=np.complex128)
+
+
+class RhsWorkspace:
+    """Every temporary of ``lhs_rhs`` on one ensemble's states and gains, built once.
+
+    A run evaluates states of one (..., N, d) shape under one set of gains,
+    so ``integrate`` builds one workspace from its ensemble.  ``zc`` holds
+    the centroids; ``full`` serves every block of ``BLOCK_ROWS`` particles
+    (all N of them with one block) and ``last`` the shorter last block, if
+    any.  The scalars of the arithmetic are held as the complex 0-d arrays
+    that numpy would convert them to on every call: the same bits, without
+    the conversion.
+    """
+
+    __slots__ = ("zc", "full", "last", "n", "kappa0", "kappa1", "minus_2j")
+
+    def __init__(self, ens: "Ensemble"):
+        *lead, n, d = ens.states.shape
+        self.zc = np.empty((*lead, 1, d), dtype=np.complex128)
+        self.full = _BlockBuffers(lead, min(n, BLOCK_ROWS), d)
+        tail = n % BLOCK_ROWS
+        self.last = _BlockBuffers(lead, tail, d) if n > BLOCK_ROWS and tail else self.full
+        self.n, self.minus_2j = np.array(n, dtype=np.complex128), np.array(-2j)
+        self.kappa0 = np.array(ens.params.kappa0, dtype=np.complex128)
+        self.kappa1 = np.array(ens.params.kappa1, dtype=np.complex128)
+
+
+def _block_into(
+    ens: "Ensemble",
+    states: NDArray[np.complexfloating],
+    frequencies: NDArray[np.complexfloating],
+    out: NDArray[np.complexfloating],
+    work: RhsWorkspace,
+    buf: _BlockBuffers,
+) -> None:
+    """Write dz/dt of ``states`` (one block of every member) into ``out``."""
     # Both reductions share one multiply-then-sum path so that the
     # self-coupling bracket cancels exactly when z_c coincides bitwise with a
     # state (consensus and N = 1 are exact equilibria, not 1e-16 ones).
-    inner_cj = row_sum(np.multiply(states, np.conj(zc), out=scratch))      # <z_c, z_j>
-    norm_sq = row_sum(np.multiply(states, np.conj(states), out=scratch)).real
-    kappa0, kappa1 = params.kappa0, params.kappa1
-    np.multiply(norm_sq[..., None], zc, out=out)
-    out -= np.multiply(inner_cj[..., None], states, out=scratch)
-    out *= kappa0
-    if kappa1 != 0.0:
+    zc = work.zc
+    np.conjugate(zc, out=buf.conj_c)
+    np.conjugate(states, out=buf.conj_j)
+    row_sum(np.multiply(states, buf.conj, out=buf.conj), out=buf.sums)
+    np.multiply(buf.norm_sq, zc, out=out)
+    out -= np.multiply(buf.inner, states, out=buf.scratch)
+    out *= work.kappa0
+    if ens.params.kappa1 != 0.0:
         # <z_j, z_c> - <z_c, z_j> = conj(a) - a = -2i Im(a) with a = <z_c, z_j>
-        out += np.multiply((kappa1 * (-2j * inner_cj.imag))[..., None], states, out=scratch)
+        rot = np.multiply(work.minus_2j, buf.imag, out=buf.rot)
+        np.multiply(work.kappa1, rot, out=rot)
+        out += np.multiply(rot, states, out=buf.scratch)
+    if not ens._omega_zero:
+        out += _free_flow(frequencies, states, out=buf.scratch)
 
 
-def lhs_rhs(ens: Ensemble) -> NDArray[np.complexfloating]:
-    """Time derivative of every state under the centroid-reduced model.
+def lhs_rhs(
+    ens: Ensemble,
+    *,
+    out: NDArray[np.complexfloating] | None = None,
+    work: RhsWorkspace | None = None,
+) -> NDArray[np.complexfloating]:
+    """Time derivative of every state under the centroid-reduced model, into ``out`` if given.
 
     One reduction over the particle axis (-2) gives each batch member's
     z_c; the per-particle force follows in O(N d), one block of BLOCK_ROWS
-    particles of every member at a time.  Each member gets the bits of its
-    own unbatched call.  Makes no BLAS call, so its O(N) cost does not
-    depend on the BLAS thread count.
+    particles of every member at a time, written straight into ``out``
+    (which must not share memory with the states).  Each member gets the
+    bits of its own unbatched call.  ``work`` is a ``RhsWorkspace`` of this
+    ensemble that a caller evaluating many times (one run) builds once;
+    without it every call builds its own.  Makes no BLAS call, so its O(N)
+    cost does not depend on the BLAS thread count.
     """
     states = ens.states
     n = states.shape[-2]
+    if out is None:
+        out = np.empty_like(states)
+    if work is None:
+        work = RhsWorkspace(ens)
     # states.mean(axis=-2) bit for bit (the same sum and division) without its
     # Python wrapper, which costs about 5 % of a call at N = 16..128
-    zc = np.add.reduce(states, axis=-2, keepdims=True) / n
-    out = np.empty_like(states)
-    scratch = np.empty_like(states[..., :BLOCK_ROWS, :])
+    zc = np.add.reduce(states, axis=-2, keepdims=True, out=work.zc)
+    zc /= work.n
+    if n <= BLOCK_ROWS:
+        _block_into(ens, states, ens.frequencies, out, work, work.full)
+        return out
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block, block_out = states[..., rows, :], out[..., rows, :]
-        tmp = scratch[..., : block.shape[-2], :]
-        _coupling_into(block, zc, ens.params, block_out, tmp)
-        if not ens._omega_zero:
-            block_out += _free_flow(ens, block, rows, out=tmp)
+        buf = work.full if start + BLOCK_ROWS <= n else work.last
+        block_freqs = ens.frequencies[..., rows, :, :]
+        _block_into(ens, states[..., rows, :], block_freqs, out[..., rows, :], work, buf)
     return out
 
 
@@ -207,7 +274,7 @@ def lhs_rhs_pairwise(ens: Ensemble) -> NDArray[np.complexfloating]:
     norm_sq = np.diagonal(gram, axis1=-2, axis2=-1).real
     col_sum = gram.sum(axis=-2)                  # sum_k <z_k, z_j>
     sum_states = states.sum(axis=-2, keepdims=True)
-    out = _free_flow(ens, states)
+    out = np.zeros_like(states) if ens._omega_zero else _free_flow(ens.frequencies, states)
     out += (kappa0 / n) * (norm_sq[..., None] * sum_states - col_sum[..., None] * states)
     # sum_k (<z_j, z_k> - <z_k, z_j>) = conj(col_sum_j) - col_sum_j
     out += (kappa1 / n) * (np.conj(col_sum) - col_sum)[..., None] * states

@@ -348,7 +348,9 @@ def fd_r_squared_rate(ens: Ensemble, h: float = 1e-3) -> float | NDArray:
     steps = np.array([h, -h, h / 2.0, -h / 2.0])
     repeated = np.repeat(ens.states[..., None, :, :], 4, axis=-3)
     probes = Ensemble(repeated, ens.frequencies[..., None, :, :, :], ens.params)
-    moved = rk4_step(repeated, steps[:, None, None], lambda s: lhs_rhs(probes.replace_states(s)))
+    moved = rk4_step(
+        repeated, steps[:, None, None], lambda s, out: lhs_rhs(probes.replace_states(s), out=out)
+    )
     zc = moved.mean(axis=-2)
     # one np.vdot per probe: a vectorized |zc|^2 sums in another order
     r2 = np.reshape([np.vdot(z, z).real for z in zc.reshape(-1, zc.shape[-1])], zc.shape[:-1])

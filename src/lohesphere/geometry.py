@@ -99,8 +99,8 @@ def matrix_exp_family(omega) -> Callable[[float], NDArray[np.complexfloating]]:
     return propagator
 
 
-def row_sum(m: NDArray) -> NDArray:
-    """Sum over the last axis into a new array, bit for bit ``m.sum(axis=-1)``.
+def row_sum(m: NDArray, out: NDArray | None = None) -> NDArray:
+    """Sum over the last axis into ``out`` (a new array if None), bit for bit ``m.sum(axis=-1)``.
 
     numpy sums each row with one call of its pairwise-sum kernel, which is
     most of the cost of short rows; this adds whole columns in the kernel's
@@ -118,10 +118,10 @@ def row_sum(m: NDArray) -> NDArray:
     d = m.shape[-1]
     width = 2 if m.dtype.kind == "c" else 1          # floats per entry
     if d == 0 or d * width > _PAIRWISE_BLOCK or m.size < _COLUMN_SUM_MIN_ROWS * d:
-        return np.add.reduce(m, axis=-1)
+        return np.add.reduce(m, axis=-1, out=out)
     lanes = 8 // width
     if d < lanes:
-        total = m[..., 0] + 0.0               # numpy's sum starts from +0.0
+        total = np.add(m[..., 0], 0.0, out=out)   # numpy's sum starts from +0.0
         for k in range(1, d):
             total += m[..., k]
         return total
@@ -133,18 +133,26 @@ def row_sum(m: NDArray) -> NDArray:
             acc += m[..., k : k + lanes]
     while acc.shape[-1] > 2:
         acc = acc[..., 0::2] + acc[..., 1::2]
-    total = acc[..., 0] + acc[..., 1]
+    total = np.add(acc[..., 0], acc[..., 1], out=out)
     total += 0.0                              # adding +0.0 first or last is the same
     for k in range(full, d):
         total += m[..., k]
     return total
 
 
-def row_norms(x: NDArray) -> NDArray[np.floating]:
+def row_norms(
+    x: NDArray, out: NDArray | None = None, scratch: NDArray | None = None
+) -> NDArray[np.floating]:
     """Euclidean norm of every row (last axis), bit for bit ``np.linalg.norm(x, axis=-1)``.
 
     numpy's norm is ``sqrt`` of the row sums of ``(conj(x) * x).real``; the
     sums go through :func:`row_sum`.  ``x.real**2 + x.imag**2`` is not the
-    same bits, because the complex product rounds differently.
+    same bits, because the complex product rounds differently.  The norms go
+    into ``out`` and the products into ``scratch`` (x's shape and dtype),
+    each a new array if None.  The products overwrite the conjugates, so at
+    most one temporary of x's size is made; a one-element product goes to a
+    new array, because numpy rounds it differently into one of its inputs.
     """
-    return np.sqrt(row_sum((np.conj(x) * x).real))
+    conj = np.conjugate(x, out=scratch)
+    squares = np.multiply(conj, x, out=conj if conj.size > 1 else None)
+    return np.sqrt(row_sum(squares.real, out=out), out=out)

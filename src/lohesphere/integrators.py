@@ -8,6 +8,14 @@ a cheap per-particle renormalization after every step removes it.  Drift
 beyond the configured tolerance, or any non-finite value, aborts the run
 with a diagnostic naming the step, t, the particle and, in a batched run,
 the batch member.
+
+Each ``integrate`` call builds one workspace before its first step: the
+result buffer, which swaps with the states after every step, the RK4 slope
+and stage, the right-hand side's temporaries and the norms and gaps of the
+renormalization.  A step then allocates nothing and runs the same ufuncs in
+the same order as the textbook expressions, writing into those buffers, so
+at the N = 16..128 of the experiments it pays for its numpy calls and not
+for allocation, and every bit is the bit of the unfused step.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import Ensemble, lhs_rhs
+from .dynamics import Ensemble, RhsWorkspace, lhs_rhs
 from .geometry import matrix_exp_family, row_norms
 from .observables import ObservableSeries
 
@@ -103,46 +111,77 @@ class Trajectory:
             raise ValueError("trajectory times must be strictly increasing")
 
 
-def rk4_step(y: np.ndarray, dt: float, rhs: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def rk4_step(
+    y: np.ndarray,
+    dt: float,
+    rhs: Callable[[np.ndarray, np.ndarray | None], np.ndarray],
+    *,
+    out: np.ndarray | None = None,
+    slope: np.ndarray | None = None,
+    stage: np.ndarray | None = None,
+) -> np.ndarray:
     """One classical 4th-order step of dy/dt = rhs(y); local error O(dt^5).
 
     Bit for bit ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` with the stage
-    inputs ``y + (dt/2) k1`` and so on, evaluated in place: the result is
-    the array that the second ``rhs`` call returned, and the stage slopes
-    are overwritten, so ``rhs`` must return a new array on every call.
-    ``y`` is never written; ``dt`` may be an array that broadcasts against it.
+    inputs ``y + (dt/2) k1`` and so on, evaluated in place.  ``rhs(x, buf)``
+    returns the slope at x, written into the array ``buf``, or a new array
+    if ``buf`` is None (it may also ignore ``buf``); rk4_step overwrites
+    whatever it returns.  k2 goes into ``out`` and becomes the result; k1,
+    k3 and k4 go into ``slope``, each spent before the next is asked for;
+    the stage inputs go into ``stage``.  A buffer left None is a new array,
+    and none may be ``y``, which is never written.  ``dt`` may be an array
+    that broadcasts against ``y``.
     """
-    k1 = rhs(y)
-    stage = np.multiply(k1, 0.5 * dt)
+    k = rhs(y, slope)                       # k1
+    stage = np.multiply(k, 0.5 * dt, out=stage)
     stage += y
-    k2 = rhs(stage)
-    np.multiply(k2, 0.5 * dt, out=stage)
+    result = rhs(stage, out)                # k2
+    np.multiply(result, 0.5 * dt, out=stage)
     stage += y
-    k3 = rhs(stage)
-    np.multiply(k3, dt, out=stage)
+    result *= 2.0
+    result += k
+    k = rhs(stage, k)                       # k3
+    np.multiply(k, dt, out=stage)
     stage += y
-    k4 = rhs(stage)
-    k2 *= 2.0
-    k2 += k1
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += y
-    return k2
+    k *= 2.0
+    result += k
+    k = rhs(stage, k)                       # k4
+    result += k
+    result *= dt / 6.0
+    result += y
+    return result
 
 
-def _renormalize(states: NDArray[np.complexfloating], tol: float, step: int, t: float) -> float:
+class _Workspace:
+    """Every array one run's steps write, built once per ``integrate`` call."""
+
+    __slots__ = ("out", "slope", "stage", "rhs", "norms", "gaps", "norm_col")
+
+    def __init__(self, ens: Ensemble):
+        states = ens.states
+        self.out = np.empty_like(states)
+        self.slope = np.empty_like(states)
+        self.stage = np.empty_like(states)
+        self.rhs = RhsWorkspace(ens)
+        self.norms = np.empty(states.shape[:-1])
+        self.gaps = np.empty_like(self.norms)
+        self.norm_col = self.norms[..., None]
+
+
+def _renormalize(
+    states: NDArray[np.complexfloating], tol: float, step: int, dt: float, work: _Workspace
+) -> float:
     """Project every state back onto the sphere, in place, after checking its norm drift.
 
     The row norms are computed once and serve both the check and the
     projection; the offending particle is looked up only on failure, and in
-    a batch also its member, counted in C order over the batch axes.
+    a batch also its member, counted in C order over the batch axes.  The
+    stage is spent when a step ends, so it holds the squares of the norms.
     Returns the worst drift ``max | ||z_j|| - 1 |`` over every particle of
     every member before the projection.
     """
-    norms = row_norms(states)
-    gaps = np.abs(norms - 1.0)
+    norms = row_norms(states, out=work.norms, scratch=work.stage)
+    gaps = np.abs(np.subtract(norms, 1.0, out=work.gaps), out=work.gaps)
     drift = float(np.maximum.reduce(gaps, axis=None))
     if not drift <= tol:
         finite = math.isfinite(drift)
@@ -150,8 +189,10 @@ def _renormalize(states: NDArray[np.complexfloating], tol: float, step: int, t: 
         member, j = divmod(flat, norms.shape[-1])
         where = f"particle {j}" if norms.ndim == 1 else f"member {member}, particle {j}"
         what = f"norm drift {drift:g} exceeds tolerance {tol:g}" if finite else "non-finite state"
-        raise IntegrationError(f"{what} at step {step} (t = {t:g}, {where})")
-    states /= norms[..., None]
+        raise IntegrationError(f"{what} at step {step} (t = {step * dt:g}, {where})")
+    # a complex division, as in y / np.linalg.norm(y): a real multiply by
+    # 1 / norms would keep the -0.0 of -0.0 + 1.0j, which the division makes +0.0
+    states /= work.norm_col
     return drift
 
 
@@ -169,19 +210,20 @@ def integrate(
     object, the recorded snapshot, which the run never writes again.
     """
     observers = dict(observers or {})
-    n_steps = cfg.n_steps
+    n_steps, dt, tol, record_every = cfg.n_steps, cfg.dt, cfg.unit_drift_tol, cfg.record_every
     states = ens.states.copy()
+    work = _Workspace(ens)
     rhs_ens = ens.replace_states(states)     # private: its states are swapped per call
     rhs_evals = 0
 
-    def rhs(x):
+    def rhs(x, buf):
         nonlocal rhs_evals
         rhs_evals += 1
         rhs_ens.states = x
-        return lhs_rhs(rhs_ens)
+        return lhs_rhs(rhs_ens, out=buf, work=work.rhs)
 
     # t = 0, every record_every-th step and the last step
-    n_records = 1 + -(-n_steps // cfg.record_every)
+    n_records = 1 + -(-n_steps // record_every)
     times = np.empty(n_records)
     snapshots = np.empty((n_records, *states.shape), dtype=states.dtype)
     columns: dict[str, list[float]] = {name: [] for name in observers}
@@ -189,7 +231,7 @@ def integrate(
 
     def record(step: int) -> None:
         nonlocal n_recorded
-        t = step * cfg.dt
+        t = step * dt
         times[n_recorded] = t
         snapshots[n_recorded] = states
         snap = snapshots[n_recorded]
@@ -200,10 +242,11 @@ def integrate(
     record(0)
     max_drift = 0.0
     for step in range(1, n_steps + 1):
-        states = rk4_step(states, cfg.dt, rhs)
-        drift = _renormalize(states, cfg.unit_drift_tol, step, step * cfg.dt)
+        stepped = rk4_step(states, dt, rhs, out=work.out, slope=work.slope, stage=work.stage)
+        drift = _renormalize(stepped, tol, step, dt, work)
         max_drift = max(max_drift, drift)
-        if step % cfg.record_every == 0 or step == n_steps:
+        work.out, states = states, stepped
+        if step % record_every == 0 or step == n_steps:
             record(step)
 
     traj = Trajectory(

@@ -106,6 +106,31 @@ def test_near_equal_frequencies_rotate_each_particle_by_its_own():
         split_transform(traj)
 
 
+def test_broadcast_frequencies_keep_stride_zero_and_the_rhs_bits():
+    # a broadcast view is stored as a view of the matrices it repeats, not
+    # copied into its full stack; the right-hand side gives the copy's bits
+    rng = np.random.default_rng(22)
+    n, d = 64, 4
+    states = random_sphere_states(rng, n, d)
+    common = Ensemble.with_common_frequency(states, random_skew_hermitian(rng, d, 1.0), PARAMS)
+    stack = np.stack([random_skew_hermitian(rng, d, 1.0) for _ in range(n)])
+    batch = np.stack([states, random_sphere_states(rng, n, d), states])
+    members = Ensemble(batch, common.common_frequency, PARAMS)
+    probes = np.repeat(batch[:, None], 4, axis=1)
+    cases = [
+        (states, common.frequencies, (0,)),                    # a common frequency again
+        (probes, members.frequencies[..., None, :, :, :], (0, 0, 0)),  # e5's R^2 probes
+        (batch, np.broadcast_to(stack, (3, n, d, d)), (0,)),   # one stack for every member
+    ]
+    for st_, freqs, zero_axes in cases:
+        ens = Ensemble(st_, freqs, PARAMS)
+        assert ens.frequencies.strides[: len(zero_axes)] == zero_axes
+        copied = Ensemble(st_, np.array(freqs), PARAMS)
+        assert copied.frequencies.strides[0] != 0
+        assert (ens.homogeneous, ens._omega_zero) == (copied.homogeneous, copied._omega_zero)
+        assert lhs_rhs(ens).tobytes() == lhs_rhs(copied).tobytes()
+
+
 @pytest.mark.parametrize("omega_scale, heterogeneous", [(0.0, False), (0.5, False), (0.5, True)])
 def test_blocks_do_not_change_the_rhs(monkeypatch, omega_scale, heterogeneous):
     # one block is checked against the pairwise oracle; many blocks, with a
@@ -272,8 +297,8 @@ def test_real_data_stay_real_over_many_steps():
     ens = Ensemble.zero_frequency(x.astype(complex), CouplingParams(1.0, 0.4))
     states = ens.states
 
-    def rhs(s):
-        return lhs_rhs(ens.replace_states(s))
+    def rhs(s, out):
+        return lhs_rhs(ens.replace_states(s), out=out)
 
     for _ in range(10_000):
         states = rk4_step(states, 1e-3, rhs)

@@ -475,7 +475,9 @@ def _fd_rate_reference(ens, h):
     """The rate from four probes, each its own scalar-step RK4 call."""
 
     def r2_after(step_h):
-        stepped = rk4_step(ens.states, step_h, lambda s: lhs_rhs(ens.replace_states(s)))
+        stepped = rk4_step(
+            ens.states, step_h, lambda s, out: lhs_rhs(ens.replace_states(s), out=out)
+        )
         zc = stepped.mean(axis=0)
         return float(np.vdot(zc, zc).real)
 

@@ -1,11 +1,13 @@
 """Stepping, renormalization, drift diagnostics, and the splitting transform."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lohesphere import dynamics
+from lohesphere import dynamics, integrators
 from lohesphere.dynamics import BLOCK_ROWS, CouplingParams, Ensemble, lhs_rhs
 from lohesphere.geometry import matrix_exp_family
 from lohesphere.integrators import (
@@ -113,12 +115,12 @@ def test_reversed_time_consistency():
     rng = np.random.default_rng(5)
     ens = Ensemble.zero_frequency(random_sphere_states(rng, 8, 3), PARAMS)
 
-    def rhs(s):
-        return lhs_rhs(ens.replace_states(s))
+    def rhs(s, out=None):
+        return lhs_rhs(ens.replace_states(s), out=out)
 
     dt = 1e-2
     forward = rk4_step(ens.states, dt, rhs)
-    back = rk4_step(forward, dt, lambda s: -rhs(s))
+    back = rk4_step(forward, dt, lambda s, out: -rhs(s))
     assert np.max(np.abs(back - ens.states)) < 1e-8
 
 
@@ -235,51 +237,133 @@ def test_integrator_config_rejects_values_that_break_a_run(kwargs, field):
 
 
 def _reference_rhs(ens, states):
-    """The unfused right-hand side: whole-array ``.sum(axis=1)`` row reductions."""
-    zc = np.add.reduce(states, axis=0) / states.shape[0]
-    inner_cj = (states * np.conj(zc)).sum(axis=1)
-    norm_sq = (states * np.conj(states)).sum(axis=1).real
-    out = ens.params.kappa0 * (norm_sq[:, None] * zc - inner_cj[:, None] * states)
+    """The unfused right-hand side: whole-array ``.sum(axis=-1)`` row reductions."""
+    zc = np.add.reduce(states, axis=-2, keepdims=True) / states.shape[-2]
+    inner_cj = (states * np.conj(zc)).sum(axis=-1)
+    norm_sq = (states * np.conj(states)).sum(axis=-1).real
+    out = ens.params.kappa0 * (norm_sq[..., None] * zc - inner_cj[..., None] * states)
     if ens.params.kappa1 != 0.0:
-        out += (ens.params.kappa1 * (-2j * inner_cj.imag))[:, None] * states
+        out += (ens.params.kappa1 * (-2j * inner_cj.imag))[..., None] * states
     if ens._omega_zero:
         return out
     if ens.homogeneous:
-        return out + np.einsum("jb,ab->ja", states, ens.frequencies[0])
-    return out + np.einsum("jab,jb->ja", ens.frequencies, states)
+        return out + np.einsum("...jb,ab->...ja", states, ens.common_frequency)
+    return out + np.einsum("...jab,...jb->...ja", ens.frequencies, states)
 
 
-def _reference_step(ens, y, dt):
-    """The unfused RK4 expression followed by np.linalg.norm renormalization."""
+def _reference_rk4(ens, y, dt):
+    """The unfused RK4 expression, before the projection onto the sphere."""
     k1 = _reference_rhs(ens, y)
     k2 = _reference_rhs(ens, y + (0.5 * dt) * k1)
     k3 = _reference_rhs(ens, y + (0.5 * dt) * k2)
     k4 = _reference_rhs(ens, y + dt * k3)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y / np.linalg.norm(y, axis=1)[:, None]
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@pytest.mark.parametrize("omega_scale, heterogeneous", [(0.0, False), (0.7, False), (0.7, True)])
-def test_integrate_is_bitwise_the_unfused_step(omega_scale, heterogeneous):
-    # rows beyond BLOCK_ROWS cross a block edge; 5 steps recorded every 2nd
-    # also record the last step
+def _reference_step(ens, y, dt):
+    """The unfused RK4 expression followed by np.linalg.norm renormalization."""
+    y = _reference_rk4(ens, y, dt)
+    return y / np.linalg.norm(y, axis=-1)[..., None]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "batch, n, omega_scale, heterogeneous, kappa1, real",
+    [
+        # rows beyond BLOCK_ROWS cross a block edge
+        pytest.param((), BLOCK_ROWS + 37, 0.0, False, -0.3, False, id="0.0-False"),
+        pytest.param((), BLOCK_ROWS + 37, 0.7, False, -0.3, False, id="0.7-False"),
+        pytest.param((), BLOCK_ROWS + 37, 0.7, True, -0.3, False, id="0.7-True"),
+        # one block (every experiment's size), stepped without slices
+        pytest.param((), 16, 0.0, False, -0.3, False, id="one_block-zero"),
+        pytest.param((), 16, 0.7, True, -0.3, False, id="one_block-per_particle"),
+        pytest.param((3,), 16, 0.7, True, -0.3, False, id="one_block-batch"),
+        pytest.param((), 16, 0.7, False, 0.0, False, id="one_block-kappa1_zero"),
+        # real data at zero Omega stay real: exact zeros whose signs are pinned
+        pytest.param((), 16, 0.0, False, 0.4, True, id="one_block-real"),
+    ],
+)
+def test_integrate_is_bitwise_the_unfused_step(batch, n, omega_scale, heterogeneous, kappa1, real):
+    # 5 steps recorded every 2nd also record the last step
     rng = np.random.default_rng(17)
-    n, d, dt = BLOCK_ROWS + 37, 4, 1e-2
-    states = random_sphere_states(rng, n, d)
+    d, dt, members = 4, 1e-2, int(np.prod(batch, dtype=int))
+    states = random_sphere_states(rng, members * n, d)
+    if real:
+        x = rng.standard_normal((members * n, d))
+        states = (x / np.linalg.norm(x, axis=1)[:, None]).astype(complex)
+    states = states.reshape(*batch, n, d)
     if heterogeneous:
-        freqs = np.stack([random_skew_hermitian(rng, d, omega_scale) for _ in range(n)])
+        freqs = np.stack([random_skew_hermitian(rng, d, omega_scale) for _ in range(members * n)])
+        freqs = freqs.reshape(*batch, n, d, d)
     else:
         freqs = random_skew_hermitian(rng, d, omega_scale)
-    ens = Ensemble(states, freqs, CouplingParams(1.0, -0.3))
+    ens = Ensemble(states, freqs, CouplingParams(1.0, kappa1))
     traj, _ = integrate(ens, IntegratorConfig(t_end=5 * dt, dt=dt, record_every=2))
     expected, y = [states], states
     for step in range(1, 6):
         y = _reference_step(ens, y, dt)
         if step % 2 == 0 or step == 5:
             expected.append(y)
-    assert traj.snapshots.shape == (4, n, d)
+    assert traj.snapshots.shape == (4, *batch, n, d)
+    if real:
+        assert not np.any(traj.snapshots.imag)
     for got, want in zip(traj.snapshots, expected):
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))   # signed zeros too
+        assert _same_bits(got, want)   # signed zeros too
+
+
+def test_renormalization_is_a_complex_division():
+    # At zero gains every slope is a signed zero, and one step of these states
+    # leaves -0.0 + 0.0j in row 1 before the projection by its norm 1.0.
+    # numpy's complex division (as np.linalg.norm projection) makes it
+    # +0.0 + 0.0j; a real multiply of the float view by 1 / norm keeps -0.0.
+    states = np.array(
+        [
+            [complex(-1.0, -0.0), complex(0.0, -0.0)],
+            [complex(-0.0, 0.0), complex(1.0, -0.0)],
+            [complex(-1.0, 0.0), complex(0.0, 0.0)],
+        ]
+    )
+    ens = Ensemble.zero_frequency(states, CouplingParams(0.0, 0.0))
+    dt = 1e-2
+    traj, _ = integrate(ens, IntegratorConfig(t_end=dt, dt=dt))
+    before = _reference_rk4(ens, states, dt)
+    norms = np.linalg.norm(before, axis=-1)
+    divided = before / norms[:, None]
+    multiplied = (before.view(float) * (1.0 / norms)[:, None]).view(complex)
+    assert np.signbit(before[1, 0].real) and before[1, 0] == 0.0
+    assert _same_bits(traj.snapshots[-1], divided)
+    assert not _same_bits(multiplied, divided)
+
+
+def test_integrate_calls_lhs_rhs_and_rk4_step_through_their_module_bindings(monkeypatch):
+    # The benchmark's tracer replaces every binding of dynamics.lhs_rhs and
+    # integrators.rk4_step inside the package, and sizes each right-hand side
+    # span from its positional arguments (the ensemble alone).
+    calls = {"lhs_rhs": [], "rk4_step": []}
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(len(args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, original in (("lhs_rhs", dynamics.lhs_rhs), ("rk4_step", integrators.rk4_step)):
+        wrapper = wrap(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or mod_name.partition(".")[0] != "lohesphere":
+                continue
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    rng = np.random.default_rng(23)
+    ens = Ensemble.zero_frequency(random_sphere_states(rng, 16, 4), PARAMS)
+    traj, _ = integrate(ens, IntegratorConfig(t_end=0.05, dt=1e-2, record_every=2))
+    assert traj.metadata["steps"] == len(calls["rk4_step"]) == 5
+    assert calls["lhs_rhs"] == [1] * 20
 
 
 def test_rk4_step_leaves_its_input_unchanged():
@@ -288,7 +372,7 @@ def test_rk4_step_leaves_its_input_unchanged():
         random_sphere_states(rng, 9, 3), random_skew_hermitian(rng, 3, 1.0), PARAMS
     )
     y = ens.states.copy()
-    stepped = rk4_step(ens.states, 1e-2, lambda s: lhs_rhs(ens.replace_states(s)))
+    stepped = rk4_step(ens.states, 1e-2, lambda s, out: lhs_rhs(ens.replace_states(s), out=out))
     assert np.array_equal(ens.states, y)
     assert stepped is not ens.states
 
