@@ -5,7 +5,7 @@ embedding, and the stepper only ever forms real-linear combinations, so
 stepping in C^d and in R^{2d} are the same computation).  The right-hand
 side is tangent to the sphere, leaving only O(dt^5) norm drift per step;
 a cheap per-particle renormalization after every step removes it.  Drift
-beyond the configured tolerance, or any non-finite value, aborts the run
+beyond ``UNIT_DRIFT_TOL``, or any non-finite value, aborts the run
 with a diagnostic naming the step, t, the particle and, in a batched run,
 the batch member.
 
@@ -41,6 +41,10 @@ __all__ = [
     "split_transform",
 ]
 
+#: largest norm drift a step may leave before its renormalization, read at
+#: every ``integrate`` call
+UNIT_DRIFT_TOL = 1e-8
+
 
 class IntegrationError(RuntimeError):
     """Raised when a run produces non-finite states or excessive norm drift."""
@@ -51,14 +55,12 @@ class IntegratorConfig:
     """Stepping parameters.
 
     dt and t_end are in the time units of the coupling gains; the run takes
-    ``round(t_end / dt)`` steps.  Norm drift is checked against
-    unit_drift_tol before the renormalization that ends every step.
+    ``round(t_end / dt)`` steps.
     """
 
     t_end: float
     dt: float = 1e-3
     record_every: int = 1
-    unit_drift_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0 < self.dt < math.inf:
@@ -71,10 +73,6 @@ class IntegratorConfig:
             raise ValueError(
                 "t_end / dt must be below 2**63 steps, "
                 f"got t_end = {self.t_end!r} and dt = {self.dt!r}"
-            )
-        if not 0 <= self.unit_drift_tol < math.inf:
-            raise ValueError(
-                f"unit_drift_tol must be finite and nonnegative, got {self.unit_drift_tol}"
             )
         try:
             record_every = operator.index(self.record_every)
@@ -210,7 +208,7 @@ def integrate(
     object, the recorded snapshot, which the run never writes again.
     """
     observers = dict(observers or {})
-    n_steps, dt, tol, record_every = cfg.n_steps, cfg.dt, cfg.unit_drift_tol, cfg.record_every
+    n_steps, dt, tol, record_every = cfg.n_steps, cfg.dt, UNIT_DRIFT_TOL, cfg.record_every
     states = ens.states.copy()
     work = _Workspace(ens)
     rhs_ens = ens.replace_states(states)     # private: its states are swapped per call

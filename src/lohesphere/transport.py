@@ -1,10 +1,7 @@
 """Exact Wasserstein-p distances between atomic measures on the unit sphere.
 
-Ground cost is the chordal (ambient) norm ||z - w||; measures that carry
-frequency matrices use the product-space cost
-``sqrt(||z - w||^2 + ||Omega - Omega'||_F^2)`` instead, a documented
-convention (every aligned-regime statement uses a common frequency, where
-the two costs coincide).
+A measure is its atoms and weights, and the ground cost is the chordal
+(ambient) norm ||z - w||.
 
 Uniform measures whose sizes divide one another are solved by exact
 min-cost assignment on the small-by-big cost block with each row repeated
@@ -16,13 +13,12 @@ generation until reduced costs certify the plan optimal on every arc
 JMIV 2016).  An exhaustive-permutation oracle is kept for
 cross-checking the solvers at small N.  Costs are summed in row blocks
 through ``geometry.row_sum``, bit for bit the full reduction.  Along a track
-of nested snapshots (:func:`wasserstein_nested_track`) atoms and tags are
-checked once, and the tag cost, constant in time, is computed once.
+of nested snapshots (:func:`wasserstein_nested_track`) atoms are checked
+once.
 
-Every solve holds one n-by-m cost array (tagged measures add their tag
-cost, computed once).  The squared distances are written into it, and the
-root and the power p are taken in place, which gives the bits of
-``np.sqrt(cost_sq) ** p``.  A nested solve's array is its (m, m)
+Every solve holds one n-by-m cost array.  The squared distances are written
+into it, and the root and the power p are taken in place, which gives the
+bits of ``np.sqrt(cost_sq) ** p``.  A nested solve's array is its (m, m)
 assignment matrix, filled row group by row group and reused for every
 snapshot of a track; the LP prices its reduced costs into one second
 buffer.  Measured by ``getrusage`` on a 2-CPU Linux VM, W2 between two
@@ -30,7 +26,7 @@ uniform 4096-atom clouds peaks 129 MiB above the process baseline (the
 matrix is 128 MiB) and nested 1024 -> 2048 at 33 MiB (a 32 MiB matrix).
 
 scipy's solvers are imported on first use, so a process that never solves
-a transport problem (``simulate``, e1, e2, e5, e7) never loads scipy.
+a transport problem (``simulate``, e1, e2, e5, e6, e7) never loads scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .geometry import as_skew_hermitian, check_unit_rows, row_sum
+from .geometry import check_unit_rows, row_sum
 
 __all__ = [
     "EmpiricalMeasure",
@@ -89,17 +85,13 @@ class SupportSizeError(ValueError):
 
 @dataclass
 class EmpiricalMeasure:
-    """Weighted point cloud on the unit sphere, optionally frequency-tagged.
+    """Weighted point cloud on the unit sphere.
 
     atoms: (N, d) complex unit vectors; weights: nonnegative, summing to 1.
-    frequencies, when present, make this a measure on the full phase space
-    and switch the ground cost to the product-space norm; they must be an
-    (N, d, d) stack of finite skew-Hermitian matrices.
     """
 
     atoms: NDArray[np.complexfloating]
     weights: NDArray[np.floating] | None = None
-    frequencies: NDArray[np.complexfloating] | None = None
 
     def __post_init__(self) -> None:
         self.atoms = np.asarray(self.atoms, dtype=np.complex128)
@@ -117,12 +109,10 @@ class EmpiricalMeasure:
                 raise ValueError("weights must be finite and nonnegative")
             if not abs(float(np.sum(self.weights)) - 1.0) <= WEIGHT_TOL:
                 raise ValueError("weights must sum to 1")
-        if self.frequencies is not None:
-            self.frequencies = _as_tags(self.frequencies, self.atoms.shape)
 
     @classmethod
-    def uniform(cls, atoms, frequencies=None) -> "EmpiricalMeasure":
-        return cls(atoms=np.asarray(atoms, dtype=np.complex128), frequencies=frequencies)
+    def uniform(cls, atoms) -> "EmpiricalMeasure":
+        return cls(atoms=np.asarray(atoms, dtype=np.complex128))
 
     @property
     def n_atoms(self) -> int:
@@ -158,30 +148,16 @@ class TransportPlan:
             raise ValueError("transport plan has negative mass")
 
 
-def _as_tags(tags, atoms_shape: tuple[int, int]) -> NDArray[np.complexfloating]:
-    """Validate frequency tags against (N, d) atoms: an (N, d, d) skew-Hermitian stack."""
-    n, d = atoms_shape
-    tags = np.asarray(tags, dtype=np.complex128)
-    if tags.shape != (n, d, d):
-        raise ValueError(
-            f"frequency tags must have shape ({n}, {d}, {d}) to match the atoms, "
-            f"got {tags.shape}"
-        )
-    return as_skew_hermitian(tags)
-
-
 def _squared_distances(
     x: NDArray, y: NDArray, out: NDArray | None = None
 ) -> NDArray[np.floating]:
-    """(n, m) matrix of ``sum |x_i - y_j|^2`` over all trailing axes of x and y.
+    """(n, m) matrix of ``sum |x_i - y_j|^2`` between (n, d) x and (m, d) y.
 
-    Bit for bit ``np.sum(np.abs(x[:, None] - y[None]) ** 2, axis=(2, ...))``:
-    the trailing axes are flattened and each block of rows is summed by
-    ``row_sum``, so at most ``COST_BLOCK`` differences are held at once.
-    The matrix is written into ``out`` (any (n, m) float view) if given.
+    Bit for bit ``np.sum(np.abs(x[:, None] - y[None]) ** 2, axis=2)``: each
+    block of rows is summed by ``row_sum``, so at most ``COST_BLOCK``
+    differences are held at once.  The matrix is written into ``out`` (any
+    (n, m) float view) if given.
     """
-    x = x.reshape(len(x), -1)
-    y = y.reshape(len(y), -1)
     if out is None:
         out = np.empty((len(x), len(y)))
     rows = max(1, COST_BLOCK // out.shape[1] // x.shape[1])
@@ -190,33 +166,24 @@ def _squared_distances(
     return out
 
 
-def _tag_cost(tags_a, tags_b, d_a: int, d_b: int) -> NDArray[np.floating] | None:
-    """Squared Frobenius distances between two tag stacks; None for plain measures.
-
-    Also rejects measures on spheres of different dimension and a tagged
-    measure paired with a plain one.
-    """
-    if d_a != d_b:
+def _check_same_sphere(a: NDArray, b: NDArray) -> None:
+    """Reject atoms, or stacks of atoms, that live on spheres of different dimension."""
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("measures live on spheres of different dimension")
-    if (tags_a is None) != (tags_b is None):
-        raise ValueError("cannot mix frequency-tagged and plain measures")
-    return None if tags_a is None else _squared_distances(tags_a, tags_b)
 
 
 def _cost_matrix(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: float = 1.0) -> NDArray:
     """(n, m) ground cost between the atoms of mu and nu, raised to the power p."""
-    tag_sq = _tag_cost(mu.frequencies, nu.frequencies, mu.atoms.shape[1], nu.atoms.shape[1])
-    return _cost_power(_squared_distances(mu.atoms, nu.atoms), tag_sq, p)
+    _check_same_sphere(mu.atoms, nu.atoms)
+    return _cost_power(_squared_distances(mu.atoms, nu.atoms), p)
 
 
-def _cost_power(cost_sq: NDArray, tag_sq: NDArray | None, p: float) -> NDArray[np.floating]:
+def _cost_power(cost_sq: NDArray, p: float) -> NDArray[np.floating]:
     """Turn squared atom distances into cost^p in place and return the same array.
 
-    Adds the tag cost if there is one, then takes the root and the power in
-    place; the bits are those of ``np.sqrt(cost_sq + tag_sq) ** p``.
+    The root and the power are taken in place; the bits are those of
+    ``np.sqrt(cost_sq) ** p``.
     """
-    if tag_sq is not None:
-        cost_sq += tag_sq
     np.sqrt(cost_sq, out=cost_sq)
     return np.power(cost_sq, p, out=cost_sq)
 
@@ -257,24 +224,17 @@ def wasserstein_uniform_nested(
     if not (mu.is_uniform() and nu.is_uniform()):
         raise ValueError("nested evaluation requires uniform measures")
     small, big = (mu, nu) if mu.n_atoms <= nu.n_atoms else (nu, mu)
-    tag_sq = _tag_cost(
-        small.frequencies, big.frequencies, small.atoms.shape[1], big.atoms.shape[1]
-    )
-    return float(_nested_track(small.atoms[None], big.atoms[None], tag_sq, p)[0])
+    _check_same_sphere(small.atoms, big.atoms)
+    return float(_nested_track(small.atoms[None], big.atoms[None], p)[0])
 
 
-def wasserstein_nested_track(
-    small_snaps, big_snaps, p: float = 2.0, small_tags=None, big_tags=None
-) -> NDArray[np.floating]:
+def wasserstein_nested_track(small_snaps, big_snaps, p: float = 2.0) -> NDArray[np.floating]:
     """W_p between the uniform measures of two nested runs at every snapshot.
 
     small_snaps is a (T, n, d) stack of atoms and big_snaps a (T, m, d) one
     with m a multiple of n; entry k of the result is, bit for bit,
     ``wasserstein_uniform_nested`` of the measures on ``small_snaps[k]`` and
-    ``big_snaps[k]``.  Optional frequency tags, (n, d, d) and (m, d, d),
-    tag the atoms of every snapshot alike.  Each stack and each tag set is
-    validated once, and the tag cost, constant along the track, is computed
-    once.
+    ``big_snaps[k]``.  Each stack is validated once.
     """
     p = _check_p(p)
     small = np.asarray(small_snaps, dtype=np.complex128)
@@ -285,17 +245,11 @@ def wasserstein_nested_track(
         )
     check_unit_rows(small, "track atoms")
     check_unit_rows(big, "track atoms")
-    if small_tags is not None:
-        small_tags = _as_tags(small_tags, small.shape[1:])
-    if big_tags is not None:
-        big_tags = _as_tags(big_tags, big.shape[1:])
-    tag_sq = _tag_cost(small_tags, big_tags, small.shape[2], big.shape[2])
-    return _nested_track(small, big, tag_sq, p)
+    _check_same_sphere(small, big)
+    return _nested_track(small, big, p)
 
 
-def _nested_track(
-    small: NDArray, big: NDArray, tag_sq: NDArray | None, p: float
-) -> NDArray[np.floating]:
+def _nested_track(small: NDArray, big: NDArray, p: float) -> NDArray[np.floating]:
     """One exact assignment per snapshot of validated (T, n, d) and (T, m, d) stacks.
 
     The (m, m) assignment matrix is the only per-snapshot cost array: each
@@ -311,7 +265,7 @@ def _nested_track(
     groups = cost_p.reshape(n, ratio, m)
     track = np.empty(len(small))
     for k in range(len(small)):
-        _cost_power(_squared_distances(small[k], big[k], out=groups[:, 0]), tag_sq, p)
+        _cost_power(_squared_distances(small[k], big[k], out=groups[:, 0]), p)
         # a ufunc copy: assignment between two views of one buffer would
         # first copy the source into an (n, m) temporary
         np.positive(groups[:, :1], out=groups[:, 1:])

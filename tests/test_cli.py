@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 
+from lohesphere import experiments
 from lohesphere.cli import EXIT_ASSERTION, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -172,6 +173,20 @@ def test_e5_with_heterogeneous_frequencies_exits_2(tmp_path, capsys):
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_e6_on_c1_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
+    # scenario b's mirror cluster needs a real direction orthogonal to y, and
+    # C^1 has none: this used to run scenario a, then crash with exit 1
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    cfg = _write(tmp_path / "cfg.json", {"experiment": "e6", "d": 1, "t_end": 0.1, "n_samples": 5})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    assert "config error: scenario b needs d >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_flag_overrides_config(tmp_path):

@@ -36,6 +36,7 @@ from lohesphere.sampling import (
 )
 from lohesphere.transport import (
     EmpiricalMeasure,
+    wasserstein_general,
     wasserstein_nested_track,
     wasserstein_uniform,
     wasserstein_uniform_nested,
@@ -216,6 +217,19 @@ def test_mistyped_value_rejected(key, value):
         ExperimentConfig.from_dict({"experiment": "e3", key: value})
 
 
+def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
+    # only e2's claims cover per-particle frequencies; e7 runs at spread 1 at omega_scale 0
+    accepted = {("e2", 0.0), ("e2", 0.5), *((e, 0.0) for e in ("e1", "e3", "e4", "e5", "e6"))}
+    for experiment in sorted(DEFAULTS):
+        for scale in (0.0, 0.5):
+            raw = {"experiment": experiment, "omega_scale": scale, "heterogeneous": True}
+            if (experiment, scale) in accepted:
+                assert ExperimentConfig.from_dict(raw).heterogeneous
+            else:
+                with pytest.raises(ConfigError, match="config key 'heterogeneous'"):
+                    ExperimentConfig.from_dict(raw)
+
+
 def test_defaults_cover_every_experiment():
     for experiment in DEFAULTS:
         cfg = ExperimentConfig.from_dict({"experiment": experiment})
@@ -345,6 +359,22 @@ def test_e6_too_few_particles_is_a_config_error_before_any_run(monkeypatch):
     monkeypatch.setattr(experiments, "integrate", no_run)
     with pytest.raises(ConfigError, match="at least 3 particles"):
         run_experiment({"experiment": "e6", "n": 2})
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+def test_w2_to_a_dirac_is_the_root_mean_squared_cost(weighted):
+    # the only coupling to a Dirac is the product measure; the LP is the oracle.
+    # A weighted cloud with weights k_j / K is the uniform measure on its
+    # atoms repeated k_j times.
+    rng = np.random.default_rng(23)
+    for n, d in [(1, 1), (5, 2), (40, 4), (100, 3)]:
+        atoms = random_sphere_states(rng, n, d)
+        y = random_sphere_states(rng, 1, d)[0]
+        counts = rng.integers(1, 6, size=n) if weighted else np.ones(n, dtype=int)
+        mu = EmpiricalMeasure(atoms, counts / np.sum(counts))
+        exact, _ = wasserstein_general(mu, EmpiricalMeasure.uniform(y[None]), 2.0)
+        closed = experiments._w2_to_dirac(np.repeat(atoms, counts, axis=0), y)
+        assert closed == pytest.approx(exact, rel=0.0, abs=1e-12), (n, d)
 
 
 @pytest.mark.parametrize("experiment", ["e2", "e4"])

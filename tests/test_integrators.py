@@ -42,15 +42,16 @@ def test_single_particle_matches_linear_flow():
     assert np.max(np.abs(traj.snapshots[-1] - exact)) < 10 * dt**5
 
 
-def test_order_four_convergence():
+def test_order_four_convergence(monkeypatch):
+    # coarse steps drift more than the default tolerance before renorm
+    monkeypatch.setattr(integrators, "UNIT_DRIFT_TOL", 1e-4)
     rng = np.random.default_rng(0)
     states = random_sphere_states(rng, 6, 3)
     omega = random_skew_hermitian(rng, 3, 1.0)
     ens = Ensemble.with_common_frequency(states, omega, PARAMS)
 
     def final_states(dt, t_end=0.5):
-        # coarse steps drift more than the default tolerance before renorm
-        cfg = IntegratorConfig(t_end=t_end, dt=dt, record_every=10**9, unit_drift_tol=1e-4)
+        cfg = IntegratorConfig(t_end=t_end, dt=dt, record_every=10**9)
         traj, _ = integrate(ens, cfg)
         return traj.snapshots[-1]
 
@@ -90,25 +91,26 @@ def test_f_decreases_along_admissible_trajectory():
     assert np.all(np.diff(f_vals) < 0.0)
 
 
-def test_drift_violation_raises_with_diagnostic():
+def test_drift_violation_raises_with_diagnostic(monkeypatch):
     rng = np.random.default_rng(4)
     states = random_sphere_states(rng, 4, 2)
     omega = random_skew_hermitian(rng, 2, 10.0)
     ens = Ensemble.with_common_frequency(states, omega, PARAMS)
+    monkeypatch.setattr(integrators, "UNIT_DRIFT_TOL", 1e-10)
     with pytest.raises(IntegrationError, match=r"drift .* at step \d+ \(t = .*, particle \d+\)"):
-        integrate(ens, IntegratorConfig(t_end=10.0, dt=0.9, unit_drift_tol=1e-10))
-    # an overflowing step is named the same way, even under a drift tolerance
-    # that no finite drift exceeds
-    huge = Ensemble.zero_frequency(states, CouplingParams(1e308, 0.0))
-    lax = np.finfo(float).max
-    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match=r"non-finite .*particle"):
-        integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10, unit_drift_tol=lax))
+        integrate(ens, IntegratorConfig(t_end=10.0, dt=0.9))
     # in a batch the member is named too: member 0 is a consensus at rest,
     # member 1 the drifting ensemble above
     rest = np.tile(np.array([0.6, 0.8j]), (4, 1))
     batch = Ensemble(np.stack([rest, states]), np.stack([0.0 * omega, omega])[:, None], PARAMS)
     with pytest.raises(IntegrationError, match=r"drift .* \(t = .*, member 1, particle \d+\)"):
-        integrate(batch, IntegratorConfig(t_end=10.0, dt=0.9, unit_drift_tol=1e-10))
+        integrate(batch, IntegratorConfig(t_end=10.0, dt=0.9))
+    # an overflowing step is named the same way, even under a drift tolerance
+    # that no finite drift exceeds
+    monkeypatch.setattr(integrators, "UNIT_DRIFT_TOL", np.finfo(float).max)
+    huge = Ensemble.zero_frequency(states, CouplingParams(1e308, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError, match=r"non-finite .*particle"):
+        integrate(huge, IntegratorConfig(t_end=1e10, dt=1e10))
 
 
 def test_reversed_time_consistency():
@@ -216,8 +218,8 @@ def test_integrator_config_validation():
         ({"dt": np.nan}, "dt"),
         ({"t_end": np.inf}, "t_end"),
         ({"t_end": np.nan}, "t_end"),
-        ({"unit_drift_tol": np.nan}, "unit_drift_tol"),
-        ({"unit_drift_tol": np.inf}, "unit_drift_tol"),
+        ({"dt": -1e-3}, "dt"),
+        ({"t_end": -np.inf}, "t_end"),
         ({"record_every": 2.5}, "record_every"),
         ({"record_every": 0}, "record_every"),
         ({"record_every": np.int64(3)}, None),
@@ -399,7 +401,7 @@ def test_run_counts_in_trajectory_metadata():
     traj, _ = integrate(ens, cfg)
     meta = traj.metadata
     assert (meta["steps"], meta["rhs_evals"]) == (7, 28)
-    assert 0.0 < meta["max_norm_drift"] <= cfg.unit_drift_tol
+    assert 0.0 < meta["max_norm_drift"] <= integrators.UNIT_DRIFT_TOL
     still, _ = integrate(ens, IntegratorConfig(t_end=0.0))
     assert still.metadata == {"steps": 0, "rhs_evals": 0, "max_norm_drift": 0.0}
 

@@ -79,6 +79,8 @@ report = experiments.run_experiment(
 )
 assert report.passed
 stages["e1"] = scipy_loaded()
+experiments.run_experiment({"experiment": "e6", "n": 5, "t_end": 1.0, "n_samples": 20})
+stages["e6"] = scipy_loaded()
 print(json.dumps(stages))
 """
 
@@ -116,7 +118,7 @@ def test_runs_without_transport_never_load_scipy(tmp_path):
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({"n": 6, "d": 3, "t_end": 0.5, "n_samples": 20}))
     stages = json.loads(_run_fresh(_NO_TRANSPORT, str(config), str(tmp_path / "out")))
-    assert stages == {"import lohesphere": [], "simulate": [], "e1": []}
+    assert stages == {"import lohesphere": [], "simulate": [], "e1": [], "e6": []}
 
 
 def test_transport_solvers_load_scipy_on_first_use():

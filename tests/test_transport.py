@@ -186,23 +186,20 @@ def _test_weights(rng, n, kind):
     st.sampled_from([1.0, 2.0, 3.0]),
     st.integers(1, 3),
     st.booleans(),
-    st.booleans(),
     st.sampled_from([1, 3, transport.ARCS_PER_LINE]),
     st.integers(0, 2**32 - 1),
 )
-def test_sparse_lp_equals_dense_lp(n, m, kind_a, kind_b, p, d, duplicated, tagged, arcs, seed):
+def test_sparse_lp_equals_dense_lp(n, m, kind_a, kind_b, p, d, duplicated, arcs, seed):
     rng = np.random.default_rng(seed)
     if duplicated:
-        # atoms and tags from a small pool: ties, and atoms shared by both measures
-        pool, tag_pool = random_sphere_states(rng, 3, d), _skew_stack(rng, 3, d)
-        pick_a, pick_b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=m)
-        atoms_a, atoms_b = pool[pick_a], pool[pick_b]
-        tags_a, tags_b = tag_pool[pick_a], tag_pool[pick_b]
+        # atoms from a small pool: ties, and atoms shared by both measures
+        pool = random_sphere_states(rng, 3, d)
+        atoms_a = pool[rng.integers(0, 3, size=n)]
+        atoms_b = pool[rng.integers(0, 3, size=m)]
     else:
         atoms_a, atoms_b = random_sphere_states(rng, n, d), random_sphere_states(rng, m, d)
-        tags_a, tags_b = _skew_stack(rng, n, d), _skew_stack(rng, m, d)
-    mu = EmpiricalMeasure(atoms_a, _test_weights(rng, n, kind_a), tags_a if tagged else None)
-    nu = EmpiricalMeasure(atoms_b, _test_weights(rng, m, kind_b), tags_b if tagged else None)
+    mu = EmpiricalMeasure(atoms_a, _test_weights(rng, n, kind_a))
+    nu = EmpiricalMeasure(atoms_b, _test_weights(rng, m, kind_b))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "ARCS_PER_LINE", arcs)
         dist, plan = wasserstein_general(mu, nu, p)
@@ -330,45 +327,6 @@ def test_monotone_in_p_ordering():
         assert w2 <= w4 + 1e-12
 
 
-def _xi_distance(pair_a, pair_b):
-    """W_1 between single-atom tagged measures: the product-space ground cost."""
-    (z_a, om_a), (z_b, om_b) = pair_a, pair_b
-    mu = EmpiricalMeasure.uniform(z_a[None, :], frequencies=om_a[None])
-    nu = EmpiricalMeasure.uniform(z_b[None, :], frequencies=om_b[None])
-    return wasserstein_uniform(mu, nu, 1.0)
-
-
-def test_xi_distance_basics():
-    rng = np.random.default_rng(12)
-    z = random_sphere_states(rng, 1, 3)[0]
-    w = random_sphere_states(rng, 1, 3)[0]
-    om_a = random_skew_hermitian(rng, 3, 1.0)
-    om_b = random_skew_hermitian(rng, 3, 1.0)
-    assert _xi_distance((z, om_a), (z, om_a)) == 0.0
-    assert _xi_distance((z, om_a), (w, om_a)) == pytest.approx(np.linalg.norm(z - w))
-    # symmetry and triangle inequality
-    v = random_sphere_states(rng, 1, 3)[0]
-    om_c = random_skew_hermitian(rng, 3, 1.0)
-    d_ab = _xi_distance((z, om_a), (w, om_b))
-    d_ba = _xi_distance((w, om_b), (z, om_a))
-    d_ac = _xi_distance((z, om_a), (v, om_c))
-    d_cb = _xi_distance((v, om_c), (w, om_b))
-    assert d_ab == pytest.approx(d_ba, abs=1e-14)
-    assert d_ab <= d_ac + d_cb + 1e-12
-
-
-def test_frequency_tagged_cost():
-    rng = np.random.default_rng(13)
-    atoms = random_sphere_states(rng, 3, 2)
-    freqs = np.stack([random_skew_hermitian(rng, 2, 1.0) for _ in range(3)])
-    mu = EmpiricalMeasure.uniform(atoms, frequencies=freqs)
-    nu = EmpiricalMeasure.uniform(atoms, frequencies=freqs)
-    assert wasserstein_uniform(mu, nu, 2.0) == pytest.approx(0.0, abs=1e-12)
-    plain = EmpiricalMeasure.uniform(atoms)
-    with pytest.raises(ValueError, match="mix"):
-        wasserstein_uniform(mu, plain, 2.0)
-
-
 def test_plan_serialization():
     rng = np.random.default_rng(14)
     mu = _uniform(random_sphere_states(rng, 3, 2))
@@ -398,6 +356,26 @@ def test_non_finite_order_p_is_rejected(distance, p):
     b = random_sphere_states(rng, 3, 2)
     with pytest.raises(ValueError, match="p must be finite"):
         distance(a, b, p)
+
+
+@pytest.mark.parametrize(
+    "distance",
+    [
+        lambda a, b: wasserstein_uniform(_uniform(a), _uniform(b), 2.0),
+        lambda a, b: wasserstein_uniform_nested(_uniform(a), _uniform(b), 2.0),
+        lambda a, b: wasserstein_nested_track(a[None], b[None], 2.0),
+        lambda a, b: wasserstein_general(_uniform(a), _uniform(b), 2.0),
+        lambda a, b: wasserstein_bruteforce(_uniform(a), _uniform(b), 2.0),
+    ],
+    ids=["uniform", "uniform_nested", "nested_track", "general", "bruteforce"],
+)
+def test_measures_on_spheres_of_different_dimension_are_rejected(distance):
+    rng = np.random.default_rng(19)
+    on_c2 = random_sphere_states(rng, 3, 2)
+    on_c3 = random_sphere_states(rng, 3, 3)
+    for a, b in ((on_c2, on_c3), (on_c3, on_c2)):
+        with pytest.raises(ValueError, match="different dimension"):
+            distance(a, b)
 
 
 def test_measure_validation():
@@ -434,60 +412,24 @@ def test_transport_plan_checks_marginals_and_mass(coupling, source, match):
             plan()
 
 
-def _skew_stack(rng, n, d, scale=1.0):
-    return np.stack([random_skew_hermitian(rng, d, scale) for _ in range(n)])
-
-
-@pytest.mark.parametrize(
-    "bad_tags",
-    [
-        lambda rng: np.where(np.eye(2, dtype=bool), np.nan, _skew_stack(rng, 3, 2)),
-        lambda rng: _skew_stack(rng, 3, 3),
-        lambda rng: np.stack([np.eye(2, dtype=complex)] * 3),
-    ],
-    ids=["nan", "shape_3x3_on_c2", "hermitian"],
-)
-def test_frequency_tags_are_validated(bad_tags):
-    rng = np.random.default_rng(16)
-    atoms = random_sphere_states(rng, 3, 2)
-    tags = bad_tags(rng)
-    with pytest.raises(ValueError, match="frequency"):
-        EmpiricalMeasure.uniform(atoms, frequencies=tags)
-    with pytest.raises(ValueError, match="frequency"):
-        wasserstein_nested_track(atoms[None], atoms[None], 2.0, tags, _skew_stack(rng, 3, 2))
-    with pytest.raises(ValueError, match="frequency"):
-        wasserstein_nested_track(atoms[None], atoms[None], 2.0, _skew_stack(rng, 3, 2), tags)
-
-
 def test_cost_matrix_is_the_full_reduction_bitwise():
     # the blocked cost must be the (n, m, d) numpy reduction bit for bit,
-    # also at d >= 4 where row_sum works in lanes and for the d*d tag rows
+    # also at d >= 4 where row_sum works in lanes
     rng = np.random.default_rng(17)
     for d in range(1, 10):
         for n, m in [(1, 1), (5, 3), (40, 300)]:
             a = random_sphere_states(rng, n, d)
             b = random_sphere_states(rng, m, d)
-            scales = 10.0 ** rng.uniform(-6, 6, size=2)
-            ta, tb = _skew_stack(rng, n, d, scales[0]), _skew_stack(rng, m, d, scales[1])
             plain = np.sum(np.abs(a[:, None] - b[None]) ** 2, axis=2)
-            tag_term = np.sum(np.abs(ta[:, None] - tb[None]) ** 2, axis=(2, 3))
             cost = transport._cost_matrix(_uniform(a), _uniform(b))
             assert np.array_equal(cost, np.sqrt(plain)), (d, n, m)
-            tagged = transport._cost_matrix(
-                EmpiricalMeasure.uniform(a, frequencies=ta),
-                EmpiricalMeasure.uniform(b, frequencies=tb),
-            )
-            assert np.array_equal(tagged, np.sqrt(plain + tag_term)), (d, n, m)
 
 
-def _repeated_atoms_distance(small, big, p, small_tags=None, big_tags=None):
+def _repeated_atoms_distance(small, big, p):
     """Reference nested W_p: repeat the small measure's atoms, then one assignment."""
     ratio = len(big) // len(small)
     atoms = np.repeat(small, ratio, axis=0)
     cost_sq = np.sum(np.abs(atoms[:, None, :] - big[None, :, :]) ** 2, axis=2)
-    if small_tags is not None:
-        fd = np.repeat(small_tags, ratio, axis=0)[:, None] - big_tags[None, :]
-        cost_sq = cost_sq + np.sum(np.abs(fd) ** 2, axis=(2, 3))
     cost = np.sqrt(cost_sq)
     rows, cols = linear_sum_assignment(cost**p)
     return float(np.mean(cost[rows, cols] ** p) ** (1.0 / p))
@@ -499,31 +441,22 @@ def _repeated_atoms_distance(small, big, p, small_tags=None, big_tags=None):
     st.sampled_from([1, 2, 4]),
     st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0]),
     st.integers(1, 4),
-    st.booleans(),
     st.integers(1, 3),
     st.sampled_from([1, 7, transport.COST_BLOCK]),
     st.integers(0, 2**32 - 1),
 )
-def test_nested_paths_equal_repeated_atoms(n, ratio, p, d, tagged, n_snaps, block, seed):
+def test_nested_paths_equal_repeated_atoms(n, ratio, p, d, n_snaps, block, seed):
     rng = np.random.default_rng(seed)
-    # atoms and tags drawn from a small pool, so duplicates (ties) are common
+    # atoms drawn from a small pool, so duplicates (ties) are common
     pool = random_sphere_states(rng, 3, d)
-    tag_pool = _skew_stack(rng, 2, d)
     small = pool[rng.integers(0, 3, size=(n_snaps, n))]
     big = pool[rng.integers(0, 3, size=(n_snaps, n * ratio))]
-    small_tags = tag_pool[rng.integers(0, 2, size=n)] if tagged else None
-    big_tags = tag_pool[rng.integers(0, 2, size=n * ratio)] if tagged else None
-    expected = [_repeated_atoms_distance(s, b, p, small_tags, big_tags) for s, b in zip(small, big)]
+    expected = [_repeated_atoms_distance(s, b, p) for s, b in zip(small, big)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "COST_BLOCK", block)
-        track = wasserstein_nested_track(small, big, p, small_tags, big_tags)
+        track = wasserstein_nested_track(small, big, p)
         single = [
-            wasserstein_uniform_nested(
-                EmpiricalMeasure.uniform(s, frequencies=small_tags),
-                EmpiricalMeasure.uniform(b, frequencies=big_tags),
-                p,
-            )
-            for s, b in zip(small, big)
+            wasserstein_uniform_nested(_uniform(s), _uniform(b), p) for s, b in zip(small, big)
         ]
     assert track.tolist() == expected
     assert single == expected
@@ -537,9 +470,6 @@ def _out_of_place_lp(mu, nu, p):
     """
     n, m = mu.n_atoms, nu.n_atoms
     cost_sq = np.sum(np.abs(mu.atoms[:, None] - nu.atoms[None]) ** 2, axis=2)
-    if mu.frequencies is not None:
-        tag_diff = mu.frequencies[:, None] - nu.frequencies[None]
-        cost_sq = cost_sq + np.sum(np.abs(tag_diff) ** 2, axis=(2, 3))
     cost = np.sqrt(cost_sq)
     cost_p = cost**p
     tol = transport.TransportPlan.MARGINAL_TOL
@@ -586,22 +516,15 @@ def _out_of_place_lp(mu, nu, p):
     st.sampled_from([1.0, 1.5, 2.0, 3.0]),
     st.integers(1, 3),
     st.booleans(),
-    st.booleans(),
     st.sampled_from([1, 3, transport.ARCS_PER_LINE]),
     st.integers(0, 2**32 - 1),
 )
-def test_lp_in_one_cost_buffer_equals_out_of_place_reference(
-    n, ratio, p, d, tagged, weighted, arcs, seed
-):
+def test_lp_in_one_cost_buffer_equals_out_of_place_reference(n, ratio, p, d, weighted, arcs, seed):
     rng = np.random.default_rng(seed)
-    pool, tag_pool = random_sphere_states(rng, 3, d), _skew_stack(rng, 3, d)
+    pool = random_sphere_states(rng, 3, d)
     pick_a, pick_b = rng.integers(0, 3, size=n), rng.integers(0, 3, size=n * ratio)
     measures = [
-        EmpiricalMeasure(
-            pool[pick],
-            rng.dirichlet(np.ones(len(pick))) if weighted else None,
-            tag_pool[pick] if tagged else None,
-        )
+        EmpiricalMeasure(pool[pick], rng.dirichlet(np.ones(len(pick))) if weighted else None)
         for pick in (pick_a, pick_b)
     ]
     with pytest.MonkeyPatch.context() as mp:
