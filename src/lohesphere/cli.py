@@ -8,7 +8,8 @@ Usage:
 
 Configs are JSON key-value trees.  Exit codes: 0 on success (all gating
 assertions pass), 1 on assertion failure, 2 on usage/config errors (a
-``t_end / dt`` of 2**63 steps or more among them) and on a run that
+``t_end / dt`` of 2**63 steps or more, a negative seed and an integer outside
+int64 among them) and on a run that
 diverges (an ``integration error:`` line names the step, t and the
 particle).  A sweep records a point with either error as a failed row.  Every
 emitted file is listed in a manifest; observable CSVs are byte-reproducible
@@ -25,25 +26,21 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .experiments import (
-    EXPERIMENT_IDS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
-    RunConfig,
-    _admissible_ensemble,
-    _coerce,
-    _integrator_config,
-    _uniform_ensemble,
+    SimulateConfig,
     run_experiment,
-    standard_observers,
+    run_simulate,
+    sweep_axis,
 )
-from .integrators import IntegrationError, integrate
+from .integrators import IntegrationError
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -117,33 +114,9 @@ def _write_report(report, out_dir: Path) -> list[Path]:
     return artifacts
 
 
-@dataclass(frozen=True)
-class SimulateConfig(RunConfig):
-    """Config of ``simulate``: the shared run keys with their own defaults,
-    plus the initial data, an admissible cap draw or uniform states."""
-
-    n: int = 32
-    delta: float = 0.1
-    t_end: float = 5.0
-    seed: int = 0
-    init: str = "admissible"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.init not in ("admissible", "uniform"):
-            raise ConfigError("config key 'init' must be 'admissible' or 'uniform'")
-
-
 def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
     """Integrate one configuration and write its observable series + manifest."""
-    cfg = SimulateConfig.from_dict(raw)
-    ens = _admissible_ensemble(cfg) if cfg.init == "admissible" else _uniform_ensemble(cfg)
-    traj, series = integrate(ens, _integrator_config(cfg), standard_observers(ens.params, False))
-    centroids = traj.snapshots.mean(axis=1)
-    for k in range(cfg.d):
-        series.series[f"j_re_{k}"] = centroids[:, k].real
-        series.series[f"j_im_{k}"] = centroids[:, k].imag
-
+    series = run_simulate(SimulateConfig.from_dict(raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "simulate_observables.csv"
     series.to_csv(csv_path)
@@ -172,38 +145,10 @@ def cmd_experiment(raw: dict, out_dir: Path, config_path: str, experiment: str |
     return EXIT_PASS if report.passed else EXIT_ASSERTION
 
 
-def _axis_values(raw: dict):
-    axis = raw.get("axis")
-    if not isinstance(axis, dict) or "parameter" not in axis:
-        raise ConfigError("sweep config needs an 'axis' object with a 'parameter' key")
-    parameter = axis["parameter"]
-    if not isinstance(parameter, str):
-        raise ConfigError(f"sweep axis 'parameter': expected a config key name, got {parameter!r}")
-    if "values" in axis:
-        values = axis["values"]
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep axis 'values': expected a list, got {values!r}")
-    elif {"start", "stop", "num"} <= set(axis):
-        grid = {}
-        for key, kind in (("start", "float"), ("stop", "float"), ("num", "int")):
-            try:
-                grid[key] = _coerce(kind, axis[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"sweep axis {key!r}: {exc}") from exc
-        if grid["num"] < 1:
-            raise ConfigError(f"sweep axis 'num' must be positive, got {grid['num']}")
-        values = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
-    else:
-        raise ConfigError("axis needs either 'values' or 'start'/'stop'/'num'")
-    if not values:
-        raise ConfigError("sweep axis is empty")
-    return parameter, values
-
-
 def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
     """Run an experiment across a parameter axis, one sub-report per point."""
     raw = dict(raw)
-    parameter, values = _axis_values(raw)
+    parameter, values = sweep_axis(raw)
     base = {k: v for k, v in raw.items() if k != "axis"}
     if "experiment" not in base:
         raise ConfigError("sweep config needs an 'experiment' key")
@@ -274,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--experiment",
                 default=None,
-                help=f"experiment id ({', '.join(sorted(EXPERIMENT_IDS))})",
+                help=f"experiment id ({', '.join(sorted(EXPERIMENTS))})",
             )
     return parser
 

@@ -133,7 +133,6 @@ class TransportPlan:
     coupling: NDArray[np.floating]
     source_weights: NDArray[np.floating]
     target_weights: NDArray[np.floating]
-    cost_power: float
 
     MARGINAL_TOL = 1e-10
 
@@ -343,7 +342,6 @@ def wasserstein_general(
         coupling=coupling,
         source_weights=mu.weights,
         target_weights=nu.weights,
-        cost_power=p,
     )
     # the plan's cost sum(coupling * cost^p), its products priced into the spent buffer
     return float(np.sum(np.multiply(coupling, cost_p, out=reduced))) ** (1.0 / p), plan

@@ -189,6 +189,25 @@ def test_e6_on_c1_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "past_int64"])
+@pytest.mark.parametrize("command", ["simulate", *sorted(experiments.EXPERIMENTS)])
+def test_bad_seed_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, seed):
+    # a negative seed used to crash e2, e4, e5, e6 and e7 with exit 1
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    if command == "simulate":
+        argv, raw = ["simulate"], {"seed": seed}
+    else:
+        argv, raw = ["experiment"], {"experiment": command, "seed": seed}
+    out = tmp_path / "o"
+    argv += ["--config", _write(tmp_path / "cfg.json", raw), "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert "config error: config key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_flag_overrides_config(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"n": 8, "t_end": 2.0, "n_samples": 40})
     out = tmp_path / "out"
@@ -367,6 +386,28 @@ def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert [row["passed"] for row in rows] == ["0"]
     assert "config key 'p_values'" in rows[0]["error"]
+
+
+def test_sweep_negative_seed_point_becomes_failed_row(tmp_path):
+    # a negative seed used to end e2, e4, e5, e6 and e7 in a traceback, with no aggregate CSV
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e1",
+            "n": 8,
+            "t_end": 2.0,
+            "n_samples": 30,
+            "axis": {"parameter": "seed", "values": [-1, 7]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    assert (out / "manifest.json").exists()
+    assert not (out / "point_000").exists()
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("passed")] for row in rows] == ["0", "1"]
+    assert "config key 'seed'" in rows[0][header.index("error")]
 
 
 def test_sweep_list_experiment_point_becomes_failed_row(tmp_path):

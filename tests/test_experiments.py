@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lohesphere import experiments
 from lohesphere.dynamics import CouplingParams, Ensemble, lhs_rhs
 from lohesphere.experiments import (
-    DEFAULTS,
+    EXPERIMENTS,
     CheckResult,
     ConfigError,
     ExperimentConfig,
@@ -210,6 +210,9 @@ def test_unknown_key_rejected():
         ("n_grid", [16, float("-inf")]),
         ("t_mid", -1.0),     # the t <= t_mid window of the saturation check is empty
         ("t_mid", 100.0),    # = t_long: the saturation check compares a sup with itself
+        ("seed", -1),
+        ("seed", 2**63),     # numpy's seeding takes it, but every integer key is an int64
+        ("n_seeds", 1e300),  # used to overflow in SeedSequence.spawn
     ],
 )
 def test_mistyped_value_rejected(key, value):
@@ -220,7 +223,7 @@ def test_mistyped_value_rejected(key, value):
 def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
     # only e2's claims cover per-particle frequencies; e7 runs at spread 1 at omega_scale 0
     accepted = {("e2", 0.0), ("e2", 0.5), *((e, 0.0) for e in ("e1", "e3", "e4", "e5", "e6"))}
-    for experiment in sorted(DEFAULTS):
+    for experiment in sorted(EXPERIMENTS):
         for scale in (0.0, 0.5):
             raw = {"experiment": experiment, "omega_scale": scale, "heterogeneous": True}
             if (experiment, scale) in accepted:
@@ -231,9 +234,21 @@ def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
 
 
 def test_defaults_cover_every_experiment():
-    for experiment in DEFAULTS:
+    for experiment in EXPERIMENTS:
         cfg = ExperimentConfig.from_dict({"experiment": experiment})
         assert cfg.experiment == experiment
+
+
+def test_integer_keys_are_int64():
+    assert ExperimentConfig.from_dict({"experiment": "e3", "seed": 2**63 - 1}).seed == 2**63 - 1
+    with pytest.raises(ConfigError, match=r"config key 'n_seeds': expected an integer in \[-2\*\*63"):
+        ExperimentConfig.from_dict({"experiment": "e2", "n_seeds": -(2**63) - 1})
+
+
+def test_e1_reads_f0_from_its_first_record():
+    cfg = ExperimentConfig.from_dict({"experiment": "e1", **SMALL["e1"]})
+    report = run_experiment(cfg)
+    assert report.data["f0"] == functional_F(experiments._admissible_ensemble(cfg).states)
 
 
 def test_e1_rejects_inadmissible_delta_before_running():
@@ -317,6 +332,15 @@ def test_e5_decays_the_defect_exactly_on_admissible_configs(kappa1, delta):
          "n_samples": 10}
     )
     assert any(c.name == "defect_decay" for c in report.checks) == admissible
+
+
+def test_e5_reports_the_second_derivative_of_r_squared_as_data():
+    raw = {"experiment": "e5", "n": 6, "t_end": 0.5, "n_samples": 10}
+    report = run_experiment(raw)
+    assert report.data["max_r_squared_second_derivative"] >= 0.0
+    assert all(c.gating for c in report.checks)
+    # two records have no second difference
+    assert "max_r_squared_second_derivative" not in run_experiment({**raw, "n_samples": 2}).data
 
 
 def test_e5_rejects_gains_outside_aligned_regime():

@@ -1,6 +1,7 @@
 """Public surface: every module star-imports, every package export and every
-name a demo imports resolves, the four quick demos run, and scipy loads only
-with the first transport solve."""
+name a demo imports resolves, the six quick demos run, the CLI imports no
+private name of experiments, and scipy loads only with the first transport
+solve."""
 
 import ast
 import importlib
@@ -31,6 +32,20 @@ MODULES = (
 def test_star_import(module):
     # an __all__ entry left behind by a deletion breaks only star-import
     exec(f"from {module} import *", {})
+
+
+def test_cli_imports_no_private_name_of_experiments():
+    # the run layer is experiments' public surface; the CLI reads configs and writes files
+    cli = Path(lohesphere.__file__).with_name("cli.py")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((1, "experiments"), (0, "lohesphere.experiments"))
+        for alias in node.names
+    }
+    assert "run_simulate" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_package_exports_resolve():
@@ -125,8 +140,11 @@ def test_transport_solvers_load_scipy_on_first_use():
     _run_fresh(_TRANSPORT)
 
 
-#: one line of output per demo that runs in a few seconds; 01, 02 and 07 take longer
+#: one line of output per demo that runs in a few seconds; 07 (about 20 s) is only
+#: import-checked
 DEMO_LINES = {
+    "01_aggregation_decay.py": "fitted decay exponent of F:",
+    "02_order_parameter.py": "R^2 monotone: min step increment",
     "03_wasserstein.py": "solver agreement on random uniform instances (N <= 7):",
     "04_solution_splitting.py": "split_transform(full run) vs direct zero-frequency run: max gap",
     "05_bipolar_exception.py": "final configuration is within",

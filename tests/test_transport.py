@@ -332,7 +332,6 @@ def test_plan_serialization():
     mu = _uniform(random_sphere_states(rng, 3, 2))
     nu = _uniform(random_sphere_states(rng, 4, 2))
     dist, plan = wasserstein_general(mu, nu, 2.0)
-    assert plan.cost_power == 2.0
     assert float(np.sum(plan.coupling)) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -403,7 +402,7 @@ def test_measure_validation():
 )
 def test_transport_plan_checks_marginals_and_mass(coupling, source, match):
     def plan():
-        return transport.TransportPlan(coupling, np.array(source), np.array([0.5, 0.5]), 2.0)
+        return transport.TransportPlan(coupling, np.array(source), np.array([0.5, 0.5]))
 
     if match is None:
         plan()
