@@ -76,12 +76,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Keys every run shares (flat key-value tree).
+    """Keys of a run that draws one ensemble (flat key-value tree).
 
     They cover the ensemble (n, d), gains (kappa0, kappa1, delta), stepping
-    (dt, t_end, n_samples) and the seed.  ``from_dict`` merges a raw config
-    over per-run defaults, rejects unknown keys and coerces every value to
-    its field's type; subclasses add their own keys and checks.
+    (dt, t_end, n_samples), frequencies (omega_scale, heterogeneous) and the
+    seed.  ``from_dict`` merges a raw config over per-run defaults, rejects
+    unknown keys and coerces every value to its field's type.
     """
 
     n: int = 64
@@ -125,9 +125,10 @@ class RunConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(RunConfig):
-    """Declarative experiment configuration: the experiment id, the shared
-    keys, and knobs that apply to individual experiments and keep their
-    defaults elsewhere.
+    """Declarative experiment configuration: the experiment id and the keys
+    of all experiments.  ``from_dict`` accepts only the keys the experiment's
+    runner reads, which its ``EXPERIMENTS`` entry names; any other field is a
+    config error there, and keeps its default, which no runner reads.
     """
 
     experiment: str
@@ -151,14 +152,6 @@ class ExperimentConfig(RunConfig):
         super().__post_init__()
         grid = self.n_grid
         rules = {
-            # only e2's claims cover per-particle frequencies; e7 runs at
-            # spread 1 when omega_scale is 0
-            "heterogeneous": (
-                not self.heterogeneous
-                or self.experiment == "e2"
-                or (self.omega_scale == 0 and self.experiment != "e7"),
-                f"false in {self.experiment}, whose claims need zero or common frequency",
-            ),
             "n_seeds": (self.n_seeds >= 1, "at least 1"),
             "horizons": (
                 len(self.horizons) >= 1 and all(h >= 0 for h in self.horizons),
@@ -185,8 +178,12 @@ class ExperimentConfig(RunConfig):
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if "experiment" not in raw:
             raise ConfigError("config is missing the 'experiment' key")
-        # __post_init__ rejects an id with no table entry, whatever its type
-        _, defaults = EXPERIMENTS.get(str(raw["experiment"]), (None, {}))
+        # an id with no entry reads every key here; __post_init__ rejects it, whatever its type
+        _, defaults, keys = EXPERIMENTS.get(str(raw["experiment"]), (None, {}, raw))
+        ignored = {f.name for f in fields(cls)} - {"experiment", *keys}
+        unread = [key for key in raw if key in ignored]
+        if unread:
+            raise ConfigError(f"config key {unread[0]!r} is not read by {raw['experiment']}")
         return super().from_dict(raw, defaults)
 
 
@@ -302,7 +299,7 @@ class ExperimentReport:
     """Experiment output: config snapshot, verdicts, summary data, series.
 
     A runner fills in the verdicts, data and series; ``run_experiment`` sets
-    the experiment id, the config snapshot and the seed.
+    the experiment id, the seed and the config: the id and the keys the run read.
     """
 
     experiment: str = ""
@@ -737,8 +734,7 @@ def run_e3(cfg: ExperimentConfig) -> ExperimentReport:
     uniformly controlled by the initial distances with one fitted constant.
     A common frequency Omega would leave every W_2 unchanged: the splitting
     gives z(t) = exp(Omega t) w(t), and the chordal cost is unitarily
-    invariant.  The claim is stated for a common free flow only, so
-    heterogeneous frequencies are a config error.
+    invariant, so e3 reads no frequency key.
     """
     n_max = cfg.n_grid[-1]
     states = _admissible_ensemble(replace(cfg, n=n_max)).states
@@ -798,14 +794,18 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     jitter are integrated at the same zero or common frequency; asserts
     W_p(mu_t, nu_t) <= max(G_T, 1) W_p(mu_0, nu_0) for t <= T over the
     horizons and p values, and that the p = 2 ratio at t_long exceeds the
-    t_mid ratio by at most 5%.  W_p compares the states only, so heterogeneous
-    frequencies are a config error.
+    t_mid ratio by at most 5%.  W_p compares the states only, so e4 does not
+    read ``heterogeneous``; a p at which the pair's cost^p underflows is a config error.
     """
     icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
     pair = _perturbed_pair(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     times, w_tracks = _pair_tracks(pair, icfg, cfg.p_values, wasserstein_nested_track)
+    # a W_p(0)^p below the smallest normal double is cost^p lost to underflow
+    lost = [p for p in cfg.p_values if w_tracks[p][0] ** p < np.finfo(float).tiny]
+    if lost and not np.array_equal(*pair.states):
+        raise ConfigError(f"config key 'p_values': the pair's cost^p underflows at p = {lost[0]:g}")
     checks = []
     for horizon in cfg.horizons:
         bound_const = max(_stability_constant(cfg.kappa0, cfg.kappa1, horizon), 1.0)
@@ -885,8 +885,8 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     decays by six orders at t_end, (d) ||dJ/dt|| stays below 2 (kappa0 +
     kappa1) at every sample, and reports the observed bound on the second
     difference of R^2 (its theoretical constant is never pinned down).
-    These claims are stated for zero or common frequency, so heterogeneous
-    frequencies are a config error.  Gains that admit no cap run uniform
+    These claims are stated for zero or common frequency, so e5 does not
+    read ``heterogeneous``.  Gains that admit no cap run uniform
     states at the config's own frequency, without the defect check.
     """
     if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
@@ -1189,26 +1189,35 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
 # registry
 # ---------------------------------------------------------------------------
 
-#: experiment id -> its runner and the values that differ from the
-#: RunConfig / ExperimentConfig defaults
+#: keys of a run that steps one draw to t_end, of e2's and e4's pairs (stepped to
+#: the horizons and t_long) and of e3's nested zero-frequency draws
+_RUN = frozenset("n d kappa0 kappa1 delta dt t_end seed n_samples omega_scale".split())
+_PAIR = _RUN - {"t_end"} | {"jitter", "horizons", "p_values", "t_mid", "t_long"}
+_NESTED = _RUN - {"n", "omega_scale"} | {"n_grid"}
+#: experiment id -> its runner, the values that differ from the RunConfig /
+#: ExperimentConfig defaults, and the config keys the runner reads
 EXPERIMENTS: dict[str, tuple] = {
-    "e1": (run_e1, {"kappa1": -0.2}),
+    "e1": (run_e1, {"kappa1": -0.2}, _RUN),
     "e2": (
         run_e2,
         {
             "n": 16,
             "kappa1": 0.2,
             "delta": 0.5,
-            "t_end": 2.0,
             "omega_scale": 0.5,
             "heterogeneous": True,
         },
+        _PAIR | {"heterogeneous", "n_seeds"},
     ),
-    "e3": (run_e3, {"n": 128, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0}),
-    "e4": (run_e4, {"n": 16, "kappa1": 0.1, "delta": 0.3, "t_end": 2.0, "jitter": 1e-3}),
-    "e5": (run_e5, {"n": 32, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0}),
-    "e6": (run_e6, {"n": 16, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0}),
-    "e7": (run_e7, {"n": 32, "kappa1": 0.2, "delta": 0.1, "t_end": 10.0, "omega_scale": 1.0}),
+    "e3": (run_e3, {"kappa1": 0.1, "delta": 0.3, "t_end": 50.0}, _NESTED),
+    "e4": (run_e4, {"n": 16, "kappa1": 0.1, "delta": 0.3, "jitter": 1e-3}, _PAIR),
+    "e5": (run_e5, {"n": 32, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0}, _RUN),
+    "e6": (
+        run_e6,
+        {"n": 16, "kappa1": 0.1, "delta": 0.3, "t_end": 50.0},
+        _RUN | {"cluster_spread"},
+    ),
+    "e7": (run_e7, {"n": 32, "kappa1": 0.2, "t_end": 10.0, "omega_scale": 1.0}, _RUN - {"delta"}),
 }
 
 
@@ -1216,9 +1225,10 @@ def run_experiment(cfg: ExperimentConfig | dict) -> ExperimentReport:
     """Dispatch an experiment by id, timing the run."""
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
-    runner, _ = EXPERIMENTS[cfg.experiment]
+    runner, _, keys = EXPERIMENTS[cfg.experiment]
     start = time.perf_counter()
     report = runner(cfg)
     report.wall_clock = time.perf_counter() - start
-    report.experiment, report.config, report.seed = cfg.experiment, asdict(cfg), cfg.seed
+    report.experiment, report.seed = cfg.experiment, cfg.seed
+    report.config = {k: v for k, v in asdict(cfg).items() if k in keys or k == "experiment"}
     return report

@@ -208,6 +208,44 @@ def test_bad_seed_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("e3", "n", 8), ("e4", "t_end", 1.0), ("e7", "delta", 0.1), ("e1", "heterogeneous", True)],
+)
+def test_unread_key_exits_2_before_any_run(tmp_path, capsys, monkeypatch, experiment, key, value):
+    # a key the experiment never reads used to repeat one run under another label
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    cfg = _write(tmp_path / "cfg.json", {"experiment": experiment, key: value})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: config key {key!r} is not read by {experiment}" in err
+    assert not out.exists()
+
+
+def test_sweep_over_unread_key_writes_failed_rows(tmp_path, monkeypatch):
+    # e3's nested draws take their sizes from n_grid: a sweep over n used to repeat one run
+    def no_run(*args):
+        raise AssertionError("integrate called for a key e3 does not read")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {"experiment": "e3", "axis": {"parameter": "n", "values": [16, 32]}},
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    assert not (out / "point_000").exists()
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [row[header.index("passed")] for row in rows] == ["0", "0"]
+    errors = [row[header.index("error")] for row in rows]
+    assert errors == ["config key 'n' is not read by e3"] * 2
+
+
 def test_experiment_flag_overrides_config(tmp_path):
     cfg = _write(tmp_path / "cfg.json", {"n": 8, "t_end": 2.0, "n_samples": 40})
     out = tmp_path / "out"
@@ -429,10 +467,12 @@ def test_sweep_tuple_axis_rows_match_header(tmp_path):
     cfg = _write(
         tmp_path / "sweep.json",
         {
-            "experiment": "e7",
+            "experiment": "e4",
             "n": 4,
-            "t_end": 0.5,
-            "n_samples": 20,
+            "horizons": [0.1],
+            "t_mid": 0.1,
+            "t_long": 0.2,
+            "n_samples": 5,
             "axis": {"parameter": "p_values", "values": [[1.0, 2.0], [0.5, 2.0]]},
         },
     )

@@ -1,7 +1,7 @@
 """Experiment harnesses on scaled-down configs (full scale runs in acceptance)."""
 
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from lohesphere.experiments import (
     CheckResult,
     ConfigError,
     ExperimentConfig,
+    ExperimentReport,
     run_e1,
     run_e6,
     run_experiment,
@@ -216,21 +217,82 @@ def test_unknown_key_rejected():
     ],
 )
 def test_mistyped_value_rejected(key, value):
-    with pytest.raises(ConfigError, match=f"config key {key!r}"):
-        ExperimentConfig.from_dict({"experiment": "e3", key: value})
+    # on an experiment that reads the key, so the value is what gets rejected
+    experiment = next(e for e in sorted(EXPERIMENTS) if key in EXPERIMENTS[e][2])
+    with pytest.raises(ConfigError, match=f"config key {key!r}: "):
+        ExperimentConfig.from_dict({"experiment": experiment, key: value})
 
 
 def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
-    # only e2's claims cover per-particle frequencies; e7 runs at spread 1 at omega_scale 0
-    accepted = {("e2", 0.0), ("e2", 0.5), *((e, 0.0) for e in ("e1", "e3", "e4", "e5", "e6"))}
+    # only e2's claims cover per-particle frequencies; no other experiment reads the key
     for experiment in sorted(EXPERIMENTS):
-        for scale in (0.0, 0.5):
-            raw = {"experiment": experiment, "omega_scale": scale, "heterogeneous": True}
-            if (experiment, scale) in accepted:
-                assert ExperimentConfig.from_dict(raw).heterogeneous
+        for flag in (False, True):
+            raw = {"experiment": experiment, "heterogeneous": flag}
+            if experiment == "e2":
+                assert ExperimentConfig.from_dict(raw).heterogeneous is flag
             else:
-                with pytest.raises(ConfigError, match="config key 'heterogeneous'"):
+                with pytest.raises(
+                    ConfigError, match=f"config key 'heterogeneous' is not read by {experiment}$"
+                ):
                     ExperimentConfig.from_dict(raw)
+
+
+#: a tiny config of each experiment, and a second valid value of each key it reads.
+#: e2's and e4's saturation ratios peak at t = 0 for a small jitter, whatever t_mid
+#: (and e2's delta) is; a jitter of 1 (and, for e2's l^2 ratio, seed 5) makes them
+#: grow, so both keys show.
+TINY = {
+    "e1": {"n": 4, "t_end": 0.2, "n_samples": 5},
+    "e2": {"n": 4, "seed": 5, "n_seeds": 2, "jitter": 1.0, "horizons": [0.1, 0.2], "t_mid": 0.5,
+           "t_long": 2.0, "n_samples": 9},
+    "e3": {"n_grid": [2, 4], "t_end": 0.2, "n_samples": 5},
+    "e4": {"n": 4, "jitter": 1.0, "horizons": [0.1, 0.2], "t_mid": 0.1, "t_long": 0.4,
+           "n_samples": 9},
+    "e5": {"n": 4, "t_end": 0.2, "n_samples": 5},
+    "e6": {"n": 4, "t_end": 0.2, "n_samples": 5},
+    "e7": {"n": 4, "t_end": 0.2, "n_samples": 5},
+}
+SECOND_VALUE = {
+    "n": 5, "d": 3, "kappa0": 1.5, "kappa1": 0.05, "delta": 0.2, "dt": 2e-3, "t_end": 0.3,
+    "seed": 8, "n_samples": 7, "omega_scale": 0.3, "heterogeneous": False, "n_seeds": 3,
+    "jitter": 2e-3, "horizons": [0.15], "p_values": [3.0], "t_mid": 0.05, "t_long": 0.6,
+    "n_grid": [2, 4, 8], "cluster_spread": 0.3,
+}
+
+
+def _outcome(report) -> tuple:
+    """Everything a run reports apart from its config and timings: the checks'
+    numbers, the data and the series bytes."""
+    data = {k: v for k, v in report.data.items() if k != "seconds"}
+    series = {
+        name: [s.times.tobytes(), *(col.tobytes() for col in s.series.values()), *s.series]
+        for name, s in report.series.items()
+    }
+    checks = [(c.name, c.observed, c.limit, c.tolerance) for c in report.checks]
+    return checks, json.dumps(data, sort_keys=True), series
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_every_accepted_key_is_read(experiment):
+    # a key whose second value leaves the report unchanged is one the runner ignores
+    base = {"experiment": experiment, **TINY[experiment]}
+    outcome = _outcome(run_experiment(base))
+    for key in sorted(EXPERIMENTS[experiment][2]):
+        assert base.get(key) != SECOND_VALUE[key], key
+        changed = _outcome(run_experiment({**base, key: SECOND_VALUE[key]}))
+        assert changed != outcome, f"{experiment} ignores {key!r}"
+
+
+def test_every_other_key_is_a_config_error():
+    names = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
+    assert set(SECOND_VALUE) == names
+    for experiment, (_, _, keys) in EXPERIMENTS.items():
+        assert keys <= names
+        for key in sorted(names - keys):
+            raw = {"experiment": experiment, key: SECOND_VALUE[key]}
+            message = f"^config key {key!r} is not read by {experiment}$"
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig.from_dict(raw)
 
 
 def test_defaults_cover_every_experiment():
@@ -473,6 +535,19 @@ def test_e4_zero_perturbation_is_trivially_stable():
         assert check.observed <= 1e-9
 
 
+def test_e4_underflowing_order_is_a_config_error_before_the_long_run(monkeypatch):
+    # chordal costs near the 1e-3 jitter: cost^150 underflows to 0, and the p = 150
+    # gate used to compare 0.0 with 0.0 under "identical measures stay identical"
+    seen = _spy_integrate(monkeypatch)
+    raw = {"experiment": "e4", "n": 6, "horizons": [0.5], "p_values": [2, 150]}
+    with pytest.raises(ConfigError, match="config key 'p_values'.* p = 150$"):
+        run_experiment(raw)
+    assert len(seen) == 1  # the horizon run; the long pair never starts
+    # p = 2 alone compares W_2 with its nonzero bound
+    check = run_experiment({**raw, "p_values": [2], "t_long": 1.0, "t_mid": 0.5}).checks[0]
+    assert check.name == "wp_stability_T0.5_p2" and check.limit > 0.0
+
+
 def test_e1_two_particle_fitted_rate_floor():
     # near-identical pair: the fitted exponent clears the 0.1 kappa0 delta floor
     report = run_experiment(
@@ -577,11 +652,15 @@ def test_report_payload_shape():
         payload["checks"][0]
     )
     assert payload["wall_clock_seconds"] > 0
-    # the snapshot holds the config's own fields; the payload turns tuples into lists
-    assert report.config == asdict(ExperimentConfig.from_dict({"experiment": "e7", **SMALL["e7"]}))
+    # the snapshot holds the id and the keys e7 reads, not delta or any other experiment's
+    assert report.config == {
+        "experiment": "e7", "n": 8, "d": 4, "kappa0": 1.0, "kappa1": 0.2, "dt": 1e-3,
+        "t_end": 3.0, "seed": 7, "n_samples": 60, "omega_scale": 1.0,
+    }
     json.dumps(payload)
-    for key in ("p_values", "horizons", "n_grid"):
-        assert isinstance(payload["config"][key], list)
+    # the payload turns a tuple-valued key into a list
+    tuples = ExperimentReport(config={"p_values": (1.0, 2.0)}).to_payload()["config"]
+    assert tuples == {"p_values": [1.0, 2.0]}
 
 
 def test_experiment_is_deterministic():

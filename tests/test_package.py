@@ -1,7 +1,7 @@
 """Public surface: every module star-imports, every package export and every
 name a demo imports resolves, the six quick demos run, the CLI imports no
-private name of experiments, and scipy loads only with the first transport
-solve."""
+private name of experiments, README's experiment keys are the table's, and
+scipy loads only with the first transport solve."""
 
 import ast
 import importlib
@@ -46,6 +46,16 @@ def test_cli_imports_no_private_name_of_experiments():
     }
     assert "run_simulate" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_readme_lists_each_experiments_config_keys():
+    from lohesphere.experiments import EXPERIMENTS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Experiments", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| e")]
+    listed = {cells[0].strip(): set(cells[-1].strip().strip("`").split()) for cells in rows}
+    assert listed == {experiment: set(keys) for experiment, (_, _, keys) in EXPERIMENTS.items()}
 
 
 def test_package_exports_resolve():
