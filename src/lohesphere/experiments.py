@@ -103,6 +103,9 @@ class RunConfig:
             raise ConfigError("n_samples must be at least 2")
         if not self.omega_scale >= 0:
             raise ConfigError(f"config key 'omega_scale': expected >= 0, got {self.omega_scale}")
+        # spread 0 draws the zero matrix, whatever the flag says
+        if self.heterogeneous and not self.omega_scale > 0:
+            raise ConfigError("config key 'heterogeneous': true needs omega_scale > 0")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed': expected >= 0, got {self.seed}")
 
@@ -153,13 +156,18 @@ class ExperimentConfig(RunConfig):
         grid = self.n_grid
         rules = {
             "n_seeds": (self.n_seeds >= 1, "at least 1"),
+            # distinct as the check names print them
             "horizons": (
-                len(self.horizons) >= 1 and all(h >= 0 for h in self.horizons),
-                "one or more times >= 0",
+                len(self.horizons) >= 1
+                and all(h >= 0 for h in self.horizons)
+                and len({f"{h:g}" for h in self.horizons}) == len(self.horizons),
+                "one or more distinct times >= 0",
             ),
             "p_values": (
-                len(self.p_values) >= 1 and all(p >= 1 for p in self.p_values),
-                "one or more orders p >= 1",
+                len(self.p_values) >= 1
+                and all(p >= 1 for p in self.p_values)
+                and len({f"{p:g}" for p in self.p_values}) == len(self.p_values),
+                "one or more distinct orders p >= 1",
             ),
             "t_mid": (0 <= self.t_mid < self.t_long, f"0 <= t_mid < t_long = {self.t_long:g}"),
             "n_grid": (
@@ -202,6 +210,13 @@ class SimulateConfig(RunConfig):
         super().__post_init__()
         if self.init not in ("admissible", "uniform"):
             raise ConfigError("config key 'init' must be 'admissible' or 'uniform'")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "SimulateConfig":
+        # uniform states have no cap, so nothing reads the admissibility margin
+        if "delta" in raw and raw.get("init") == "uniform":
+            raise ConfigError("config key 'delta' is not read by simulate with init 'uniform'")
+        return super().from_dict(raw)
 
 
 def _coerce(type_name: str, value):
@@ -586,6 +601,55 @@ def _pair_tracks(
     return traj.times, {p: track(snaps_a, snaps_b, p) for p in p_values}
 
 
+def _stability_checks(
+    name: str, cfg: ExperimentConfig, times: NDArray, tracks: dict[float, NDArray], ratio: str
+) -> tuple[list[CheckResult], dict[tuple[float, float], float]]:
+    """Per horizon T and order p, the worst pair's ratio
+    sup_{t<=T} d_p(t) / (G_T d_p(0)) against 1, from ``tracks[p]`` of shape
+    (T,) or (T, pairs); ``ratio`` words it in the detail.  Returns the checks,
+    named ``{name}_T{T:g}_p{p:g}``, and the worst ratio per (T, p).
+
+    Two starts are config errors, both read off the t = 0 record: a d_p(0)^p
+    below the smallest normal double, which is cost^p lost to underflow (the
+    ratio would read 0 or NaN), and a pair that starts within 1e-12 at some
+    p, whose ratio would gauge rounding noise.  Identical data are e2's
+    uniqueness check.
+    """
+    starts = {p: np.min(tracks[p][0]) for p in cfg.p_values}
+    lost = [p for p, start in starts.items() if start**p < np.finfo(float).tiny]
+    if lost:
+        raise ConfigError(f"config key 'p_values': the pair's cost^p underflows at p = {lost[0]:g}")
+    closest = min(starts.values())
+    if closest <= 1e-12:
+        raise ConfigError(f"config key 'jitter': a pair starts {closest:.2g} apart")
+    checks, worst = [], {}
+    for h in cfg.horizons:
+        gain = _stability_constant(cfg.kappa0, cfg.kappa1, h)
+        for p in cfg.p_values:
+            track = tracks[p]
+            worst[(h, p)] = np.max(np.max(track[times <= h + 1e-12], axis=0) / (gain * track[0]))
+            detail = f"{ratio}, G_T = exp(2*{h:g}*(|kappa0|+|kappa0+2 kappa1|)) = {gain:.6g}"
+            checks.append(
+                CheckResult(f"{name}_T{h:g}_p{p:g}", worst[(h, p)], 1.0, 0.0, detail=detail)
+            )
+    return checks, worst
+
+
+def _long_pair_check(
+    name: str, cfg: ExperimentConfig, long_cfg: IntegratorConfig, pair: Ensemble, track
+) -> tuple[CheckResult, float, float, NDArray, NDArray]:
+    """Step an admissible pair to t_long and check that its p = 2 ratio
+    d_2(t) / d_2(0) saturates.  Returns ``_saturation_check``'s check and
+    sups, then the recorded times and the ratio."""
+    times, dists = _pair_tracks(pair, long_cfg, (2.0,), track)
+    ratio = dists[2.0] / dists[2.0][0]
+    detail = (
+        f"admissible p=2 ratio: sup over t <= {cfg.t_long:g} vs "
+        f"1.05 * sup over t <= {cfg.t_mid:g}"
+    )
+    return *_saturation_check(name, ratio, times, cfg.t_mid, detail), times, ratio
+
+
 def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     """l^p stability of the particle flow.
 
@@ -619,14 +683,9 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     )
     identical = dists[2.0][:, -1]
     dists = {p: track[:, :-1] for p, track in dists.items()}
-    # each seed's sup over t <= T against its bound; max() skips the NaN of a
-    # pair that starts at distance 0
-    gain = {h: _stability_constant(cfg.kappa0, cfg.kappa1, h) for h in cfg.horizons}
-    worst = {
-        (h, p): max(0.0, *np.max(dists[p][times <= h + 1e-12], axis=0) / (gain[h] * dists[p][0]))
-        for h in cfg.horizons
-        for p in cfg.p_values
-    }
+    checks, worst = _stability_checks(
+        "lp_bound", cfg, times, dists, "worst seed ratio sup_t ||Z-Z~||_p / (G_T ||Z0-Z~0||_p)"
+    )
     # grid-density cross-check on seed 0: the sup changes little at double density
     dense = replace(icfg, record_every=max(icfg.record_every // 2, 1))
     _, dists_d = _pair_tracks(Ensemble(states[0], freqs[0], params), dense, (2.0,), lp_distance)
@@ -634,21 +693,6 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     sup_dense = float(np.max(dists_d[2.0]))
     refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
 
-    checks = [
-        CheckResult(
-            f"lp_bound_T{horizon:g}_p{p:g}",
-            worst[(horizon, p)],
-            1.0,
-            0.0,
-            detail=(
-                f"worst seed ratio sup_t ||Z-Z~||_p / (G_T ||Z0-Z~0||_p), "
-                f"G_T = exp(2*{horizon:g}*(|kappa0|+|kappa0+2 kappa1|)) "
-                f"= {gain[horizon]:.6g}"
-            ),
-        )
-        for horizon in cfg.horizons
-        for p in cfg.p_values
-    ]
     checks.append(
         CheckResult(
             "grid_density_cross_check",
@@ -672,16 +716,11 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     # admissible long-run saturation of the p = 2 ratio
-    adm_cfg = replace(cfg, heterogeneous=False, omega_scale=0.0)
-    pair = _perturbed_pair(adm_cfg, seeds[-1].spawn(1)[0])
-    times, dists = _pair_tracks(pair, long_cfg, (2.0,), lp_distance)
-    saturation, sup_mid, sup_long = _saturation_check(
-        "admissible_uniform_in_time",
-        dists[2.0] / dists[2.0][0],
-        times,
-        cfg.t_mid,
-        f"admissible p=2 ratio: sup over t <= {cfg.t_long:g} vs "
-        f"1.05 * sup over t <= {cfg.t_mid:g}",
+    pair = _perturbed_pair(
+        replace(cfg, heterogeneous=False, omega_scale=0.0), seeds[-1].spawn(1)[0]
+    )
+    saturation, sup_mid, sup_long, _, _ = _long_pair_check(
+        "admissible_uniform_in_time", cfg, long_cfg, pair, lp_distance
     )
     checks.append(saturation)
 
@@ -792,83 +831,27 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
 
     Two admissible atomic measures whose initial states differ by a small
     jitter are integrated at the same zero or common frequency; asserts
-    W_p(mu_t, nu_t) <= max(G_T, 1) W_p(mu_0, nu_0) for t <= T over the
+    sup_{t<=T} W_p(mu_t, nu_t) / (G_T W_p(mu_0, nu_0)) <= 1 over the
     horizons and p values, and that the p = 2 ratio at t_long exceeds the
     t_mid ratio by at most 5%.  W_p compares the states only, so e4 does not
-    read ``heterogeneous``; a p at which the pair's cost^p underflows is a config error.
+    read ``heterogeneous``.
     """
     icfg = _integrator_config(cfg, t_end=max(cfg.horizons))
     long_cfg = _integrator_config(cfg, t_end=cfg.t_long)
     pair = _perturbed_pair(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     times, w_tracks = _pair_tracks(pair, icfg, cfg.p_values, wasserstein_nested_track)
-    # a W_p(0)^p below the smallest normal double is cost^p lost to underflow
-    lost = [p for p in cfg.p_values if w_tracks[p][0] ** p < np.finfo(float).tiny]
-    if lost and not np.array_equal(*pair.states):
-        raise ConfigError(f"config key 'p_values': the pair's cost^p underflows at p = {lost[0]:g}")
-    checks = []
-    for horizon in cfg.horizons:
-        bound_const = max(_stability_constant(cfg.kappa0, cfg.kappa1, horizon), 1.0)
-        for p in cfg.p_values:
-            track = w_tracks[p]
-            sup = float(np.max(track[times <= horizon + 1e-12]))
-            if track[0] > 1e-12:
-                checks.append(
-                    CheckResult(
-                        f"wp_stability_T{horizon:g}_p{p:g}",
-                        sup,
-                        bound_const * track[0],
-                        0.0,
-                        detail=f"sup_t W_p vs max(G_T, 1) W_p(0) with G_T = {bound_const:.6g}",
-                    )
-                )
-            else:
-                # degenerate perturbation (nu0 = mu0): the flow is unique, so
-                # the measures must simply stay together
-                checks.append(
-                    CheckResult(
-                        f"wp_stability_T{horizon:g}_p{p:g}",
-                        sup,
-                        0.0,
-                        1e-9,
-                        detail="identical initial measures stay identical (W_p(0) = 0)",
-                    )
-                )
-
-    times_l, long_tracks = _pair_tracks(pair, long_cfg, (2.0,), wasserstein_nested_track)
-    w2 = long_tracks[2.0]
-    if w2[0] > 1e-12:
-        ratio = w2 / w2[0]
-        saturation, sup_mid, sup_long = _saturation_check(
-            "admissible_t_independent_constant",
-            ratio,
-            times_l,
-            cfg.t_mid,
-            f"admissible homogeneous case: sup ratio over t <= {cfg.t_long:g} vs "
-            f"1.05 * sup over t <= {cfg.t_mid:g} (p = 2)",
-        )
-        checks.append(saturation)
-    else:
-        ratio = w2
-        sup_mid = sup_long = float(np.max(w2))
-        checks.append(
-            CheckResult(
-                "admissible_t_independent_constant",
-                sup_long,
-                0.0,
-                1e-9,
-                detail="identical initial measures: sup_t W_2 stays at zero",
-            )
-        )
-
-    series = ObservableSeries(
-        times=times_l,
-        series={"w2_ratio": ratio},
+    checks, _ = _stability_checks(
+        "wp_stability", cfg, times, w_tracks, "ratio sup_t W_p(mu_t, nu_t) / (G_T W_p(mu_0, nu_0))"
     )
+    saturation, sup_mid, sup_long, times_l, ratio = _long_pair_check(
+        "admissible_t_independent_constant", cfg, long_cfg, pair, wasserstein_nested_track
+    )
+    checks.append(saturation)
     return ExperimentReport(
         checks=checks,
         data={"sup_ratio_mid": sup_mid, "sup_ratio_long": sup_long},
-        series={"w2_ratio": series},
+        series={"w2_ratio": ObservableSeries(times=times_l, series={"w2_ratio": ratio})},
     )
 
 
@@ -1144,9 +1127,10 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
     then asserts max_j ||z_j(t) - exp(Omega t) w_j(t)|| <= 1e-6 on t <= t_end
     and that the scalar observables F, G, R agree between the runs to 1e-8.
     """
-    # spread 0 would make the splitting trivial, so e7 then runs at spread 1
-    scale = cfg.omega_scale if cfg.omega_scale > 0 else 1.0
-    ens_full = _uniform_ensemble(replace(cfg, omega_scale=scale))
+    # spread 0 would make the splitting trivial
+    if not cfg.omega_scale > 0:
+        raise ConfigError(f"config key 'omega_scale': e7 expects > 0, got {cfg.omega_scale:g}")
+    ens_full = _uniform_ensemble(cfg)
     params = ens_full.params
     icfg = _integrator_config(cfg)
     ens_zero = Ensemble.zero_frequency(ens_full.states, params)

@@ -81,6 +81,7 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         {"dt": 1e-300},
         {"dt": 0},
         {"t_end": -1},
+        {"heterogeneous": True, "init": "uniform"},
     ],
     ids=[
         "n_samples_1",
@@ -95,6 +96,7 @@ def test_unknown_simulate_key_exits_2(tmp_path):
         "steps_out_of_range",
         "dt_zero",
         "t_end_negative",
+        "heterogeneous_at_spread_0",
     ],
 )
 def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
@@ -102,6 +104,16 @@ def test_invalid_simulate_value_exits_2(tmp_path, capsys, payload):
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_delta_under_uniform_init_exits_2(tmp_path, capsys):
+    # uniform states have no cap: two deltas used to write cmp-identical CSVs
+    cfg = _write(tmp_path / "cfg.json", {"n": 4, "init": "uniform", "delta": 0.3})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: config key 'delta' is not read by simulate with init 'uniform'" in err
     assert not out.exists()
 
 
@@ -161,7 +173,7 @@ def test_e5_with_heterogeneous_frequencies_exits_2(tmp_path, capsys):
         # e1 and e6 used to fail their bounds after full runs and exit 1
         "e1": {"experiment": "e1", "omega_scale": 0.5, "heterogeneous": True},
         "e6": {"experiment": "e6", "omega_scale": 0.5, "heterogeneous": True},
-        # e7 runs at spread 1 when omega_scale is 0, and used to draw a common Omega
+        # e7 used to run at spread 1 here, and to draw a common Omega
         "e7": {"experiment": "e7", "omega_scale": 0.0, "heterogeneous": True},
         # e4's W_p ignores frequency tags, and it used to pass every check here
         "e4": {"experiment": "e4", "n": 8, "t_long": 5.0, "t_mid": 2.0, "omega_scale": 0.5,

@@ -61,6 +61,8 @@ def test_experiment_passes_at_small_scale(experiment):
     failed = [c.name for c in report.checks if c.gating and not c.passed]
     assert report.passed, f"{experiment} failed gating checks: {failed}"
     assert report.wall_clock > 0.0
+    names = [c.name for c in report.checks]
+    assert len(set(names)) == len(names), names
     for check in report.checks:
         assert check.comparator in ("<=", ">=")
         assert np.isfinite(check.observed)
@@ -214,6 +216,8 @@ def test_unknown_key_rejected():
         ("seed", -1),
         ("seed", 2**63),     # numpy's seeding takes it, but every integer key is an int64
         ("n_seeds", 1e300),  # used to overflow in SeedSequence.spawn
+        ("horizons", [0.1, 0.1]),        # both checks would be named T0.1
+        ("p_values", [2.0, 2.0000001]),  # both checks would be named p2
     ],
 )
 def test_mistyped_value_rejected(key, value):
@@ -221,6 +225,14 @@ def test_mistyped_value_rejected(key, value):
     experiment = next(e for e in sorted(EXPERIMENTS) if key in EXPERIMENTS[e][2])
     with pytest.raises(ConfigError, match=f"config key {key!r}: "):
         ExperimentConfig.from_dict({"experiment": experiment, key: value})
+
+
+def test_heterogeneous_needs_a_spread():
+    # spread 0 draws the zero matrix, so the flag would label one run twice
+    raw = {"experiment": "e2", "heterogeneous": True, "omega_scale": 0.0}
+    with pytest.raises(ConfigError, match="^config key 'heterogeneous': "):
+        ExperimentConfig.from_dict(raw)
+    assert not ExperimentConfig.from_dict({**raw, "heterogeneous": False}).heterogeneous
 
 
 def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
@@ -524,15 +536,33 @@ def test_e5_without_admissible_cap_keeps_its_common_frequency(monkeypatch):
     assert not any(c.name == "defect_decay" for c in report.checks)
 
 
-def test_e4_zero_perturbation_is_trivially_stable():
-    # nu0 = mu0: every W_p track stays at zero (uniqueness of the flow)
-    report = run_experiment(
-        {"experiment": "e4", "n": 6, "jitter": 0.0, "t_long": 5.0, "t_mid": 2.0,
-         "n_samples": 40}
-    )
-    assert report.passed
-    for check in report.checks:
-        assert check.observed <= 1e-9
+@pytest.mark.parametrize("experiment", ["e2", "e4"])
+def test_zero_jitter_is_a_config_error_before_the_long_run(monkeypatch, experiment):
+    # the copy differs from its original by one more normalization, and the ratio
+    # of the stability check would gauge that rounding noise
+    seen = _spy_integrate(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^config key 'jitter': a pair starts .* apart$"):
+        run_experiment({"experiment": experiment, **SMALL[experiment], "jitter": 0.0})
+    assert len(seen) == 1  # the horizon run; the long pair never starts
+
+
+def test_stability_checks_fail_when_the_constant_is_too_small(monkeypatch):
+    # e2's and e4's horizon checks share one ratio: a constant of 1e-3 breaks both
+    monkeypatch.setattr(experiments, "_stability_constant", lambda *args: 1e-3)
+    for experiment, name in (("e2", "lp_bound_"), ("e4", "wp_stability_")):
+        report = run_experiment({"experiment": experiment, **SMALL[experiment]})
+        checks = [c for c in report.checks if c.name.startswith(name)]
+        assert len(checks) == 6 and not any(c.passed for c in checks), experiment
+
+
+def test_e7_without_a_spread_is_a_config_error_before_any_run(monkeypatch):
+    # e7 used to run at spread 1 here, under the label omega_scale 0
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    with pytest.raises(ConfigError, match="^config key 'omega_scale': e7 expects > 0, got 0$"):
+        run_experiment({"experiment": "e7", "omega_scale": 0.0})
 
 
 def test_e4_underflowing_order_is_a_config_error_before_the_long_run(monkeypatch):
@@ -543,9 +573,20 @@ def test_e4_underflowing_order_is_a_config_error_before_the_long_run(monkeypatch
     with pytest.raises(ConfigError, match="config key 'p_values'.* p = 150$"):
         run_experiment(raw)
     assert len(seen) == 1  # the horizon run; the long pair never starts
-    # p = 2 alone compares W_2 with its nonzero bound
+    # p = 2 alone runs its ratio check
     check = run_experiment({**raw, "p_values": [2], "t_long": 1.0, "t_mid": 0.5}).checks[0]
     assert check.name == "wp_stability_T0.5_p2" and check.limit > 0.0
+
+
+def test_e2_underflowing_order_is_a_config_error_before_the_long_run(monkeypatch):
+    # ||z_k - w_k||^300 underflows to 0: the p = 300 ratio was NaN, and max(0.0, ...)
+    # turned it into a pass at 0.0
+    seen = _spy_integrate(monkeypatch)
+    raw = {"experiment": "e2", "n": 4, "n_seeds": 2, "horizons": [0.1], "p_values": [2, 300],
+           "t_long": 0.4, "t_mid": 0.1, "n_samples": 5}
+    with pytest.raises(ConfigError, match="config key 'p_values'.* p = 300$"):
+        run_experiment(raw)
+    assert len(seen) == 1
 
 
 def test_e1_two_particle_fitted_rate_floor():
