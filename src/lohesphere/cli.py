@@ -6,8 +6,8 @@ Usage:
     lohesphere experiment --experiment e1 --config cfg.json --out DIR [--seed S]
     lohesphere sweep     --config cfg.json --out DIR [--seed S]
 
-Configs are JSON key-value trees.  Exit codes: 0 on success (all gating
-assertions pass), 1 on assertion failure, 2 on usage/config errors (a
+Configs are JSON key-value trees.  Exit codes: 0 on success (every check
+passes), 1 on assertion failure, 2 on usage/config errors (a
 ``t_end / dt`` of 2**63 steps or more, a negative seed and an integer outside
 int64 among them) and on a run that
 diverges (an ``integration error:`` line names the step, t and the
@@ -125,7 +125,7 @@ def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
 
 
 def cmd_experiment(raw: dict, out_dir: Path, config_path: str, experiment: str | None) -> int:
-    """Run one named experiment; exit 0 iff every gating assertion passes."""
+    """Run one named experiment; exit 0 iff every check passes."""
     raw = dict(raw)
     if experiment is not None:
         raw["experiment"] = experiment
@@ -136,11 +136,9 @@ def cmd_experiment(raw: dict, out_dir: Path, config_path: str, experiment: str |
     _write_manifest(out_dir, "experiment", config_path, raw, artifacts)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
-        gate = "" if check.gating else " (report-only)"
         print(
-            f"[{status}] {report.experiment}:{check.name}{gate}: "
-            f"observed {check.observed:.6g} {check.comparator} "
-            f"{check.limit:.6g} (tolerance {check.tolerance:g})"
+            f"[{status}] {report.experiment}:{check.name}: "
+            f"observed {check.observed:.6g} <= {check.limit:.6g} (tolerance {check.tolerance:g})"
         )
     return EXIT_PASS if report.passed else EXIT_ASSERTION
 

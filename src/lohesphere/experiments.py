@@ -97,17 +97,16 @@ class RunConfig:
     heterogeneous: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ConfigError("n and d must be positive")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be at least 2")
-        if not self.omega_scale >= 0:
-            raise ConfigError(f"config key 'omega_scale': expected >= 0, got {self.omega_scale}")
+        _check_rules(self, {
+            "n": (self.n >= 1, ">= 1"),
+            "d": (self.d >= 1, ">= 1"),
+            "n_samples": (self.n_samples >= 2, ">= 2"),
+            "omega_scale": (self.omega_scale >= 0, ">= 0"),
+            "seed": (self.seed >= 0, ">= 0"),
+        })
         # spread 0 draws the zero matrix, whatever the flag says
         if self.heterogeneous and not self.omega_scale > 0:
             raise ConfigError("config key 'heterogeneous': true needs omega_scale > 0")
-        if self.seed < 0:
-            raise ConfigError(f"config key 'seed': expected >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, raw: dict, defaults: dict | None = None):
@@ -154,8 +153,8 @@ class ExperimentConfig(RunConfig):
             )
         super().__post_init__()
         grid = self.n_grid
-        rules = {
-            "n_seeds": (self.n_seeds >= 1, "at least 1"),
+        _check_rules(self, {
+            "n_seeds": (self.n_seeds >= 1, ">= 1"),
             # distinct as the check names print them
             "horizons": (
                 len(self.horizons) >= 1
@@ -176,11 +175,7 @@ class ExperimentConfig(RunConfig):
                 and all(big == 2 * small for small, big in zip(grid, grid[1:])),
                 "two or more consecutive doublings, e.g. 16,32,64,128",
             ),
-        }
-        for key, (valid, expected) in rules.items():
-            if not valid:
-                got = getattr(self, key)
-                raise ConfigError(f"config key {key!r}: expected {expected}, got {got!r}")
+        })
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -217,6 +212,13 @@ class SimulateConfig(RunConfig):
         if "delta" in raw and raw.get("init") == "uniform":
             raise ConfigError("config key 'delta' is not read by simulate with init 'uniform'")
         return super().from_dict(raw)
+
+
+def _check_rules(cfg, rules: dict[str, tuple[bool, str]]) -> None:
+    """Raise a config error for the first key whose rule ``(valid, expected)`` fails."""
+    for key, (valid, expected) in rules.items():
+        if not valid:
+            raise ConfigError(f"config key {key!r}: expected {expected}, got {getattr(cfg, key)!r}")
 
 
 def _coerce(type_name: str, value):
@@ -279,21 +281,17 @@ def sweep_axis(raw: dict) -> tuple[str, list]:
 
 @dataclass
 class CheckResult:
-    """One asserted bound: ``observed <= limit + tolerance``, or
-    ``observed >= limit - tolerance`` for the comparator ``">="``.
+    """One asserted bound, ``observed <= limit + tolerance``; every check
+    gates its experiment's verdict.
 
     The numbers are stored as floats and ``passed`` is computed from them at
     construction, so a verdict always matches its own numbers; a NaN fails.
-    gating=False marks report-only observations that do not affect the
-    experiment verdict (used where only an empirical trend is recorded).
     """
 
     name: str
     observed: float
     limit: float
     tolerance: float
-    comparator: str = "<="
-    gating: bool = True
     detail: str = ""
     passed: bool = field(init=False)
 
@@ -301,12 +299,12 @@ class CheckResult:
         self.observed = float(self.observed)
         self.limit = float(self.limit)
         self.tolerance = float(self.tolerance)
-        if self.comparator == "<=":
-            self.passed = self.observed <= self.limit + self.tolerance
-        elif self.comparator == ">=":
-            self.passed = self.observed >= self.limit - self.tolerance
-        else:
-            raise ValueError(f"unknown comparator {self.comparator!r}")
+        self.passed = self.observed <= self.limit + self.tolerance
+
+    @property
+    def gating(self) -> bool:
+        """Always true; kept for readers that filter checks on it."""
+        return True
 
 
 @dataclass
@@ -327,7 +325,7 @@ class ExperimentReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.gating)
+        return all(c.passed for c in self.checks)
 
     def to_payload(self) -> dict:
         return {
@@ -508,8 +506,8 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
 
     Asserts F(t) <= F0 exp(-2 kappa0 delta t) and
     G(t) <= 2 sqrt(F0) exp(-kappa0 delta t) at every recorded time, checks the
-    differential inequality of F by finite differences, and fits the empirical
-    decay exponent (report-only against the guaranteed rate).
+    differential inequality of F by finite differences, and reports the
+    fitted decay exponent of F next to the guaranteed rate.
     """
     ens = _admissible_ensemble(cfg)
     params = ens.params
@@ -561,22 +559,9 @@ def run_e1(cfg: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    fitted = fit_decay_rate(times, f_vals)
-    checks.append(
-        CheckResult(
-            "fitted_decay_rate",
-            fitted,
-            rate,
-            0.0,
-            comparator=">=",
-            gating=False,
-            detail="least-squares exponent of F vs the guaranteed rate (report-only)",
-        )
-    )
-
     return ExperimentReport(
         checks=checks,
-        data={"f0": f0, "guaranteed_rate": rate, "fitted_rate": fitted},
+        data={"f0": f0, "guaranteed_rate": rate, "fitted_rate": fit_decay_rate(times, f_vals)},
         series={"observables": series},
     )
 
@@ -602,37 +587,45 @@ def _pair_tracks(
 
 
 def _stability_checks(
-    name: str, cfg: ExperimentConfig, times: NDArray, tracks: dict[float, NDArray], ratio: str
-) -> tuple[list[CheckResult], dict[tuple[float, float], float]]:
+    name: str,
+    cfg: ExperimentConfig,
+    pairs: NDArray,
+    times: NDArray,
+    tracks: dict[float, NDArray],
+    ratio: str,
+) -> list[CheckResult]:
     """Per horizon T and order p, the worst pair's ratio
     sup_{t<=T} d_p(t) / (G_T d_p(0)) against 1, from ``tracks[p]`` of shape
     (T,) or (T, pairs); ``ratio`` words it in the detail.  Returns the checks,
-    named ``{name}_T{T:g}_p{p:g}``, and the worst ratio per (T, p).
+    named ``{name}_T{T:g}_p{p:g}``.
 
-    Two starts are config errors, both read off the t = 0 record: a d_p(0)^p
+    Two starts are config errors, read before any ratio: a pair that starts
+    within 1e-12, whose ratio would gauge rounding noise, and a d_p(0)^p
     below the smallest normal double, which is cost^p lost to underflow (the
-    ratio would read 0 or NaN), and a pair that starts within 1e-12 at some
-    p, whose ratio would gauge rounding noise.  Identical data are e2's
+    ratio would read 0 or NaN).  An identical pair reads d_p(0) = 0 at every
+    p too, so it is told apart by a start distance that does not depend on
+    p: the largest atom gap max_k ||z_k - w_k|| of the closest pair in
+    ``pairs``, the (..., 2, N, d) initial states.  Identical data are e2's
     uniqueness check.
     """
+    gaps = np.linalg.norm(pairs[..., 0, :, :] - pairs[..., 1, :, :], axis=-1)
+    gap = np.min(np.max(gaps, axis=-1))
     starts = {p: np.min(tracks[p][0]) for p in cfg.p_values}
     lost = [p for p, start in starts.items() if start**p < np.finfo(float).tiny]
-    if lost:
+    if lost and gap > 1e-12:
         raise ConfigError(f"config key 'p_values': the pair's cost^p underflows at p = {lost[0]:g}")
-    closest = min(starts.values())
+    closest = min(gap, *starts.values())
     if closest <= 1e-12:
         raise ConfigError(f"config key 'jitter': a pair starts {closest:.2g} apart")
-    checks, worst = [], {}
+    checks = []
     for h in cfg.horizons:
         gain = _stability_constant(cfg.kappa0, cfg.kappa1, h)
         for p in cfg.p_values:
             track = tracks[p]
-            worst[(h, p)] = np.max(np.max(track[times <= h + 1e-12], axis=0) / (gain * track[0]))
+            worst = np.max(np.max(track[times <= h + 1e-12], axis=0) / (gain * track[0]))
             detail = f"{ratio}, G_T = exp(2*{h:g}*(|kappa0|+|kappa0+2 kappa1|)) = {gain:.6g}"
-            checks.append(
-                CheckResult(f"{name}_T{h:g}_p{p:g}", worst[(h, p)], 1.0, 0.0, detail=detail)
-            )
-    return checks, worst
+            checks.append(CheckResult(f"{name}_T{h:g}_p{p:g}", worst, 1.0, 0.0, detail=detail))
+    return checks
 
 
 def _long_pair_check(
@@ -677,32 +670,19 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     freqs.append(np.zeros_like(freqs[-1]))
     # one (d, d) or (N, d, d) draw per seed, shared by both members of its pair
     freqs = np.reshape(freqs, (cfg.n_seeds + 1, 1, -1, cfg.d, cfg.d))
-    # the grid-density cross-check below reads the p = 2 track
+    # the grid-density change below reads the p = 2 track
     times, dists = _pair_tracks(
         Ensemble(states, freqs, params), icfg, {*cfg.p_values, 2.0}, lp_distance
     )
     identical = dists[2.0][:, -1]
     dists = {p: track[:, :-1] for p, track in dists.items()}
-    checks, worst = _stability_checks(
-        "lp_bound", cfg, times, dists, "worst seed ratio sup_t ||Z-Z~||_p / (G_T ||Z0-Z~0||_p)"
-    )
-    # grid-density cross-check on seed 0: the sup changes little at double density
+    wording = "worst seed ratio sup_t ||Z-Z~||_p / (G_T ||Z0-Z~0||_p)"
+    checks = _stability_checks("lp_bound", cfg, states[:-1], times, dists, wording)
+    # seed 0's p=2 sup at doubled sample density: how much the record grid misses
     dense = replace(icfg, record_every=max(icfg.record_every // 2, 1))
     _, dists_d = _pair_tracks(Ensemble(states[0], freqs[0], params), dense, (2.0,), lp_distance)
     sup_coarse = float(np.max(dists[2.0][:, 0]))
     sup_dense = float(np.max(dists_d[2.0]))
-    refined_delta = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
-
-    checks.append(
-        CheckResult(
-            "grid_density_cross_check",
-            refined_delta,
-            0.01,
-            0.0,
-            gating=False,
-            detail="relative change of the p=2 sup at doubled sample density (report-only)",
-        )
-    )
 
     # identical initial data stay identical (uniqueness of the flow)
     checks.append(
@@ -727,9 +707,9 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         checks=checks,
         data={
-            "worst_ratios": {f"T{h:g}_p{p:g}": worst[(h, p)] for (h, p) in worst},
             "admissible_sup_mid": sup_mid,
             "admissible_sup_long": sup_long,
+            "grid_density_relative_change": abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300),
         },
     )
 
@@ -841,9 +821,8 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     pair = _perturbed_pair(cfg, np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
     times, w_tracks = _pair_tracks(pair, icfg, cfg.p_values, wasserstein_nested_track)
-    checks, _ = _stability_checks(
-        "wp_stability", cfg, times, w_tracks, "ratio sup_t W_p(mu_t, nu_t) / (G_T W_p(mu_0, nu_0))"
-    )
+    wording = "ratio sup_t W_p(mu_t, nu_t) / (G_T W_p(mu_0, nu_0))"
+    checks = _stability_checks("wp_stability", cfg, pair.states, times, w_tracks, wording)
     saturation, sup_mid, sup_long, times_l, ratio = _long_pair_check(
         "admissible_t_independent_constant", cfg, long_cfg, pair, wasserstein_nested_track
     )
@@ -869,20 +848,17 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     kappa1) at every sample, and reports the observed bound on the second
     difference of R^2 (its theoretical constant is never pinned down).
     These claims are stated for zero or common frequency, so e5 does not
-    read ``heterogeneous``.  Gains that admit no cap run uniform
-    states at the config's own frequency, without the defect check.
+    read ``heterogeneous``.  Gains that admit no cap (|kappa1| >= kappa0 / 2)
+    run uniform states at the config's own frequency, without the defect
+    check; any other inadmissible config is a config error, as in e1.
     """
     if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
         raise ConfigError("e5 requires kappa0 > 0 and kappa0 + 2 kappa1 >= 0")
     # the defect-decay claim needs admissible data; monotonicity, the rate
     # identity and the dJ/dt bound hold for any data in the aligned regime
     # (including the boundary kappa1 = -kappa0/2, where no cap is admissible)
-    admissible_mode = True
-    try:
-        ens = _admissible_ensemble(cfg)
-    except ConfigError:
-        admissible_mode = False
-        ens = _uniform_ensemble(cfg)
+    admissible_mode = abs(cfg.kappa1) < cfg.kappa0 / 2.0
+    ens = _admissible_ensemble(cfg) if admissible_mode else _uniform_ensemble(cfg)
     params = ens.params
     icfg = _integrator_config(cfg)
     traj, series = integrate(ens, icfg, standard_observers(params, with_dj=True))
@@ -895,11 +871,10 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     checks = [
         CheckResult(
             "r_squared_nondecreasing",
-            float(np.min(np.diff(r2))) if len(r2) > 1 else 0.0,
+            float(-np.min(np.diff(r2))) if len(r2) > 1 else 0.0,
             0.0,
             1e-10,
-            comparator=">=",
-            detail="min per-step increment of R^2 over recorded times",
+            detail="largest per-step decrease of R^2 over recorded times, -min diff(R^2)",
         ),
         CheckResult(
             "dj_dt_bound",
@@ -1026,11 +1001,10 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(
         CheckResult(
             "a_alignment",
-            alignment,
-            1.0,
+            1.0 - alignment,
+            0.0,
             1e-4,
-            comparator=">=",
-            detail="min_j z_j . (J/||J||) at t_end (complete aggregation, no antipodal mass)",
+            detail="1 - min_j z_j . (J/||J||) at t_end (complete aggregation, no antipodal mass)",
         )
     )
     w2_final = _w2_to_dirac(final, j_hat)

@@ -227,10 +227,10 @@ def test_c09_defect_decay_and_bipolar_exclusion():
     ok = defect.passed and alignment.passed
     _verdict(
         9,
-        "defect(50) <= 1e-6 max(defect(0), 1e-12); min_j z_j . (J/||J||) >= 1 - 1e-4",
+        "defect(50) <= 1e-6 max(defect(0), 1e-12); 1 - min_j z_j . (J/||J||) <= 1e-4",
         ok,
         f"defect ratio {defect.observed / max(defect.limit / 1e-6, 1e-300):.2e}, "
-        f"alignment {alignment.observed:.8f}",
+        f"misalignment {alignment.observed:.2e}",
     )
 
 

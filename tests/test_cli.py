@@ -117,15 +117,20 @@ def test_simulate_delta_under_uniform_init_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_experiment_small_e1_passes(tmp_path):
+def test_experiment_small_e1_passes(tmp_path, capsys):
     cfg = _write(
         tmp_path / "e1.json",
         {"experiment": "e1", "n": 8, "t_end": 3.0, "n_samples": 50},
     )
     out = tmp_path / "out"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+    # one line per check, each in the one shape
+    lines = capsys.readouterr().out.splitlines()
+    shape = r"\[PASS\] e1:\w+: observed \S+ <= \S+ \(tolerance \S+\)"
+    assert len(lines) == 4 and all(re.fullmatch(shape, line) for line in lines), lines
     report = json.loads((out / "e1_report.json").read_text())
     assert report["passed"] is True
+    assert [c["name"] for c in report["checks"]] == [line[7:].split(":")[1] for line in lines]
     assert (out / "e1_observables.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["artifacts"]) == ["e1_observables.csv", "e1_report.json"]
@@ -137,13 +142,15 @@ def test_experiment_unknown_id_exits_2(tmp_path):
 
 
 def test_experiment_inadmissible_delta_exits_2_before_running(tmp_path):
-    cfg = _write(
-        tmp_path / "cfg.json",
-        {"experiment": "e1", "kappa1": 0.4, "delta": 0.9, "n": 4},
-    )
-    out = tmp_path / "o"
-    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
-    assert not (out / "e1_report.json").exists()
+    # e5 used to run uniform states at a delta outside its cap's range, and pass
+    for experiment, kappa1 in (("e1", 0.4), ("e5", 0.1)):
+        cfg = _write(
+            tmp_path / "cfg.json",
+            {"experiment": experiment, "kappa1": kappa1, "delta": 0.9, "n": 4},
+        )
+        out = tmp_path / experiment
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
 
 def test_experiment_out_of_range_step_count_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Public surface: every module star-imports, every package export and every
-name a demo imports resolves, the six quick demos run, the CLI imports no
+name a demo imports resolves, every demo runs, the CLI imports no
 private name of experiments, README's experiment keys are the table's, and
 scipy loads only with the first transport solve."""
 
@@ -68,7 +68,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_imports_resolve(demo):
-    # parsed, not run: the demos take up to half a minute each
+    # a missing name fails here by name, before any demo runs
     imports = [
         (node.module, alias.name)
         for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8")))
@@ -150,8 +150,7 @@ def test_transport_solvers_load_scipy_on_first_use():
     _run_fresh(_TRANSPORT)
 
 
-#: one line of output per demo that runs in a few seconds; 07 (about 20 s) is only
-#: import-checked
+#: one line of output per demo
 DEMO_LINES = {
     "01_aggregation_decay.py": "fitted decay exponent of F:",
     "02_order_parameter.py": "R^2 monotone: min step increment",
@@ -159,6 +158,7 @@ DEMO_LINES = {
     "04_solution_splitting.py": "split_transform(full run) vs direct zero-frequency run: max gap",
     "05_bipolar_exception.py": "final configuration is within",
     "06_tensor_model.py": "rank-1 reduction: max |lt_rhs - lhs_rhs|",
+    "07_mean_field_limit.py": "Cauchy trend of the sups:",
 }
 
 
