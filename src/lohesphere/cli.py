@@ -144,7 +144,12 @@ def cmd_experiment(raw: dict, out_dir: Path, config_path: str, experiment: str |
 
 
 def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
-    """Run an experiment across a parameter axis, one sub-report per point."""
+    """Run an experiment across a parameter axis, one sub-report per point.
+
+    A point's row in ``sweep_aggregate.csv`` is its report flattened: each
+    check's observed value under the check's name, then the scalar data; a
+    point that could not run holds its error message instead.
+    """
     raw = dict(raw)
     parameter, values = sweep_axis(raw)
     base = {k: v for k, v in raw.items() if k != "axis"}
@@ -166,16 +171,15 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
         except (ConfigError, IntegrationError) as exc:
             all_passed = False
             row["passed"] = 0
-            row["error"] = str(exc).replace(",", ";")
+            row["error"] = str(exc)
         else:
             all_passed = all_passed and report.passed
             sub_dir = out_dir / f"point_{idx:03d}"
             sub_dir.mkdir(parents=True, exist_ok=True)
             artifacts.extend(_write_report(report, sub_dir))
             row["passed"] = int(report.passed)
-            for key, val in report.data.items():
-                if isinstance(val, (int, float)):
-                    row[key] = val
+            row.update((check.name, check.observed) for check in report.checks)
+            row.update((k, v) for k, v in report.data.items() if isinstance(v, (int, float)))
         rows.append(row)
 
     columns = ["index", parameter, "passed"]
@@ -185,7 +189,7 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
                 columns.append(key)
     agg_path = out_dir / "sweep_aggregate.csv"
     with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-        # the writer quotes a cell holding a comma, such as a tuple-valued axis point
+        # the writer quotes a cell holding a comma: a tuple-valued axis point or an error
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:

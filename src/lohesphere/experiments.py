@@ -187,7 +187,11 @@ class ExperimentConfig(RunConfig):
         unread = [key for key in raw if key in ignored]
         if unread:
             raise ConfigError(f"config key {unread[0]!r} is not read by {raw['experiment']}")
-        return super().from_dict(raw, defaults)
+        cfg = super().from_dict(raw, defaults)
+        # e5 runs uniform states at gains without a cap, and nothing reads the cap's margin
+        if cfg.experiment == "e5" and "delta" in raw and not _e5_admits_cap(cfg):
+            raise ConfigError("config key 'delta' is not read by e5 at gains that admit no cap")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -250,30 +254,19 @@ def _coerce(type_name: str, value):
 
 
 def sweep_axis(raw: dict) -> tuple[str, list]:
-    """The parameter and the values of a sweep config's ``axis``: a list of
-    ``values``, or ``num`` points from ``start`` to ``stop``."""
+    """The parameter and the values of a sweep config's ``axis``: a config
+    key name and a list of ``values``."""
     axis = raw.get("axis")
     if not isinstance(axis, dict) or "parameter" not in axis:
         raise ConfigError("sweep config needs an 'axis' object with a 'parameter' key")
-    parameter = axis["parameter"]
+    extra = sorted(set(axis) - {"parameter", "values"})
+    if extra:
+        raise ConfigError(f"sweep axis {extra[0]!r}: unknown key (an axis lists its 'values')")
+    parameter, values = axis["parameter"], axis.get("values")
     if not isinstance(parameter, str):
         raise ConfigError(f"sweep axis 'parameter': expected a config key name, got {parameter!r}")
-    if "values" in axis:
-        values = axis["values"]
-        if not isinstance(values, list):
-            raise ConfigError(f"sweep axis 'values': expected a list, got {values!r}")
-    elif {"start", "stop", "num"} <= set(axis):
-        grid = {}
-        for key, kind in (("start", "float"), ("stop", "float"), ("num", "int")):
-            try:
-                grid[key] = _coerce(kind, axis[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"sweep axis {key!r}: {exc}") from exc
-        if grid["num"] < 1:
-            raise ConfigError(f"sweep axis 'num' must be positive, got {grid['num']}")
-        values = list(np.linspace(grid["start"], grid["stop"], grid["num"]))
-    else:
-        raise ConfigError("axis needs either 'values' or 'start'/'stop'/'num'")
+    if not isinstance(values, list):
+        raise ConfigError(f"sweep axis 'values': expected a list, got {values!r}")
     if not values:
         raise ConfigError("sweep axis is empty")
     return parameter, values
@@ -311,8 +304,9 @@ class CheckResult:
 class ExperimentReport:
     """Experiment output: config snapshot, verdicts, summary data, series.
 
-    A runner fills in the verdicts, data and series; ``run_experiment`` sets
-    the experiment id, the seed and the config: the id and the keys the run read.
+    A runner fills in the verdicts, data and series; ``data`` holds only
+    numbers that no check observes.  ``run_experiment`` sets the experiment
+    id, the seed and the config: the id and the keys the run read.
     """
 
     experiment: str = ""
@@ -410,15 +404,20 @@ def pair_inequality_check(series: ObservableSeries) -> CheckResult:
     )
 
 
-def fd_r_squared_rate(ens: Ensemble, h: float = 1e-3) -> float | NDArray:
+#: step h of ``fd_r_squared_rate``'s probes
+FD_STEP = 1e-3
+
+
+def fd_r_squared_rate(ens: Ensemble) -> float | NDArray:
     """Centered finite difference of R^2 along the flow, Richardson-extrapolated once.
 
     ``ens`` may be a batch, (..., N, d).  The probes at +h, -h, +h/2 and -h/2
-    of every member advance in one RK4 step, on a repeated copy of the
-    states (a stride-0 view would change the bits of the centroid sums).
+    (h = ``FD_STEP``) of every member advance in one RK4 step, on a repeated
+    copy of the states (a stride-0 view would change the bits of the
+    centroid sums).
     Returns one rate per member, or a float for a single ensemble.
     """
-    steps = np.array([h, -h, h / 2.0, -h / 2.0])
+    steps = np.array([FD_STEP, -FD_STEP, FD_STEP / 2.0, -FD_STEP / 2.0])
     repeated = np.repeat(ens.states[..., None, :, :], 4, axis=-3)
     probes = Ensemble(repeated, ens.frequencies[..., None, :, :, :], ens.params)
     moved = rk4_step(
@@ -443,12 +442,11 @@ def fit_decay_rate(times: NDArray, values: NDArray) -> float:
 
 def _saturation_check(
     name: str, ratio: NDArray, times: NDArray, t_mid: float, detail: str
-) -> tuple[CheckResult, float, float]:
+) -> CheckResult:
     """Uniform-in-time check: the sup of ratio over the whole run is at most
-    1.05 times its sup over t <= t_mid.  Returns the check and both sups."""
+    1.05 times its sup over t <= t_mid."""
     sup_mid = float(np.max(ratio[times <= t_mid + 1e-12]))
-    sup_long = float(np.max(ratio))
-    return CheckResult(name, sup_long, 1.05 * sup_mid, 0.0, detail=detail), sup_mid, sup_long
+    return CheckResult(name, np.max(ratio), 1.05 * sup_mid, 0.0, detail=detail)
 
 
 def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
@@ -630,17 +628,17 @@ def _stability_checks(
 
 def _long_pair_check(
     name: str, cfg: ExperimentConfig, long_cfg: IntegratorConfig, pair: Ensemble, track
-) -> tuple[CheckResult, float, float, NDArray, NDArray]:
+) -> tuple[CheckResult, NDArray, NDArray]:
     """Step an admissible pair to t_long and check that its p = 2 ratio
-    d_2(t) / d_2(0) saturates.  Returns ``_saturation_check``'s check and
-    sups, then the recorded times and the ratio."""
+    d_2(t) / d_2(0) saturates.  Returns ``_saturation_check``'s check, the
+    recorded times and the ratio."""
     times, dists = _pair_tracks(pair, long_cfg, (2.0,), track)
     ratio = dists[2.0] / dists[2.0][0]
     detail = (
         f"admissible p=2 ratio: sup over t <= {cfg.t_long:g} vs "
         f"1.05 * sup over t <= {cfg.t_mid:g}"
     )
-    return *_saturation_check(name, ratio, times, cfg.t_mid, detail), times, ratio
+    return _saturation_check(name, ratio, times, cfg.t_mid, detail), times, ratio
 
 
 def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
@@ -699,19 +697,13 @@ def run_e2(cfg: ExperimentConfig) -> ExperimentReport:
     pair = _perturbed_pair(
         replace(cfg, heterogeneous=False, omega_scale=0.0), seeds[-1].spawn(1)[0]
     )
-    saturation, sup_mid, sup_long, _, _ = _long_pair_check(
+    saturation, _, _ = _long_pair_check(
         "admissible_uniform_in_time", cfg, long_cfg, pair, lp_distance
     )
     checks.append(saturation)
 
-    return ExperimentReport(
-        checks=checks,
-        data={
-            "admissible_sup_mid": sup_mid,
-            "admissible_sup_long": sup_long,
-            "grid_density_relative_change": abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300),
-        },
-    )
+    change = abs(sup_dense - sup_coarse) / max(sup_coarse, 1e-300)
+    return ExperimentReport(checks=checks, data={"grid_density_relative_change": change})
 
 
 # ---------------------------------------------------------------------------
@@ -823,13 +815,12 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
     times, w_tracks = _pair_tracks(pair, icfg, cfg.p_values, wasserstein_nested_track)
     wording = "ratio sup_t W_p(mu_t, nu_t) / (G_T W_p(mu_0, nu_0))"
     checks = _stability_checks("wp_stability", cfg, pair.states, times, w_tracks, wording)
-    saturation, sup_mid, sup_long, times_l, ratio = _long_pair_check(
+    saturation, times_l, ratio = _long_pair_check(
         "admissible_t_independent_constant", cfg, long_cfg, pair, wasserstein_nested_track
     )
     checks.append(saturation)
     return ExperimentReport(
         checks=checks,
-        data={"sup_ratio_mid": sup_mid, "sup_ratio_long": sup_long},
         series={"w2_ratio": ObservableSeries(times=times_l, series={"w2_ratio": ratio})},
     )
 
@@ -837,6 +828,15 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # E5: order-parameter calculus
 # ---------------------------------------------------------------------------
+
+
+def _e5_admits_cap(cfg: RunConfig) -> bool:
+    """Whether e5's gains admit an admissible cap, |kappa1| < kappa0 / 2.
+    Gains outside the aligned regime, kappa0 > 0 and kappa0 + 2 kappa1 >= 0,
+    are a config error."""
+    if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
+        raise ConfigError("e5 requires kappa0 > 0 and kappa0 + 2 kappa1 >= 0")
+    return abs(cfg.kappa1) < cfg.kappa0 / 2.0
 
 
 def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
@@ -852,12 +852,10 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     run uniform states at the config's own frequency, without the defect
     check; any other inadmissible config is a config error, as in e1.
     """
-    if not cfg.kappa0 > 0 or cfg.kappa0 + 2.0 * cfg.kappa1 < 0:
-        raise ConfigError("e5 requires kappa0 > 0 and kappa0 + 2 kappa1 >= 0")
     # the defect-decay claim needs admissible data; monotonicity, the rate
     # identity and the dJ/dt bound hold for any data in the aligned regime
     # (including the boundary kappa1 = -kappa0/2, where no cap is admissible)
-    admissible_mode = abs(cfg.kappa1) < cfg.kappa0 / 2.0
+    admissible_mode = _e5_admits_cap(cfg)
     ens = _admissible_ensemble(cfg) if admissible_mode else _uniform_ensemble(cfg)
     params = ens.params
     icfg = _integrator_config(cfg)
@@ -899,7 +897,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
     # analytic rate vs centered finite differences at early probes
     n_probes = min(10, len(times))
     probes = traj.snapshots[:n_probes]
-    fd = fd_r_squared_rate(Ensemble(probes, ens.frequencies, params), h=1e-3)
+    fd = fd_r_squared_rate(Ensemble(probes, ens.frequencies, params))
     rel_errs = []
     for snap, fd_k in zip(probes, fd):
         analytic = r_squared_rate(EmpiricalMeasure.uniform(snap), cfg.kappa0, cfg.kappa1)
@@ -914,12 +912,7 @@ def run_e5(cfg: ExperimentConfig) -> ExperimentReport:
         )
     )
 
-    data = {
-        "defect_initial": float(defect[0]),
-        "defect_final": float(defect[-1]),
-        "max_dj_norm": float(np.max(dj)),
-        "dj_bound": 2.0 * (cfg.kappa0 + cfg.kappa1),
-    }
+    data = {"defect_initial": float(defect[0])}
     if len(times) >= 3:
         # observed sup |d2 R^2/dt^2|; its theoretical constant is not pinned
         step = float(np.mean(np.diff(times)))
@@ -997,21 +990,19 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     final = traj.snapshots[-1]
     j_final = j_vector(EmpiricalMeasure.uniform(final))
     j_hat = j_final / np.linalg.norm(j_final)
-    alignment = float(np.min((np.conj(final) @ j_hat).real))
     checks.append(
         CheckResult(
             "a_alignment",
-            1.0 - alignment,
+            1.0 - np.min((np.conj(final) @ j_hat).real),
             0.0,
             1e-4,
             detail="1 - min_j z_j . (J/||J||) at t_end (complete aggregation, no antipodal mass)",
         )
     )
-    w2_final = _w2_to_dirac(final, j_hat)
     checks.append(
         CheckResult(
             "a_dirac_convergence",
-            w2_final,
+            _w2_to_dirac(final, j_hat),
             1e-3,
             0.0,
             detail="W2(mu_t_end, delta_{J/||J||})",
@@ -1077,14 +1068,7 @@ def run_e6(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     return ExperimentReport(
-        checks=checks,
-        data={
-            "a_alignment": alignment,
-            "a_w2_final": w2_final,
-            "b_antipodal_mass": 1.0 / cfg.n,
-            "b_two_point_gap": two_point,
-        },
-        series={"observables": series},
+        checks=checks, data={"b_antipodal_mass": 1.0 / cfg.n}, series={"observables": series}
     )
 
 
@@ -1136,11 +1120,7 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
         ),
         pair_inequality_check(series_full),
     ]
-    return ExperimentReport(
-        checks=checks,
-        data={"max_deviation": deviation, "max_observable_gap": obs_gap},
-        series={"observables": series_full},
-    )
+    return ExperimentReport(checks=checks, series={"observables": series_full})
 
 
 # ---------------------------------------------------------------------------

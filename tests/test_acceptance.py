@@ -116,7 +116,7 @@ def test_c03_order_parameter_calculus():
         for k in (0, len(traj.times) // 2, len(traj.times) - 1):
             snap = traj.snapshots[k]
             analytic = mu_rate(snap)
-            fd = fd_r_squared_rate(ens.replace_states(snap), h=1e-3)
+            fd = fd_r_squared_rate(ens.replace_states(snap))
             worst_rel = max(worst_rel, abs(analytic - fd) / max(abs(analytic), 1e-12))
     ok = worst_rel <= 1e-5 and worst_step >= -1e-10
     _verdict(

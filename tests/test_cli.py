@@ -17,6 +17,12 @@ def _write(path, payload):
     return str(path)
 
 
+def _rows(out) -> list[dict]:
+    """The rows of a sweep's aggregate CSV, read back as a CSV."""
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture
 def sim_config(tmp_path):
     return _write(
@@ -316,24 +322,18 @@ def test_sweep_empty_axis_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "axis, key",
     [
-        ({"start": 0.0, "stop": 0.2, "num": 2.7}, "num"),
-        ({"start": 0.0, "stop": 0.2, "num": True}, "num"),
-        ({"start": 0.0, "stop": 0.2, "num": "2"}, "num"),
-        ({"start": "a", "stop": 0.2, "num": 2}, "start"),
-        ({"start": 0.0, "stop": None, "num": 2}, "stop"),
         ({"values": 5}, "values"),
         ({"values": "0.1"}, "values"),
         ({"parameter": ["kappa1"], "values": [0.1]}, "parameter"),
+        ({}, "values"),
+        ({"start": 0.0, "stop": 0.2, "num": 2}, "num"),
     ],
     ids=[
-        "fraction",
-        "bool",
-        "string",
-        "start_string",
-        "stop_null",
         "values_int",
         "values_str",
         "parameter_list",
+        "values_missing",
+        "linspace_form",
     ],
 )
 def test_sweep_axis_num_must_be_an_integer(tmp_path, capsys, axis, key):
@@ -366,22 +366,6 @@ def test_sweep_seed_axis_reports_spread(tmp_path):
     assert "fitted_rate" in header
     rates = {line.split(",")[header.index("fitted_rate")] for line in lines[1:]}
     assert len(rates) == 3  # per-seed spread visible in the aggregate
-
-
-def test_linspace_axis(tmp_path):
-    cfg = _write(
-        tmp_path / "sweep.json",
-        {
-            "experiment": "e7",
-            "n": 4,
-            "t_end": 0.5,
-            "n_samples": 20,
-            "axis": {"parameter": "kappa1", "start": 0.0, "stop": 0.2, "num": 2},
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_PASS
-    assert (out / "point_001" / "e7_report.json").exists()
 
 
 def test_sweep_across_admissibility_boundary(tmp_path):
@@ -423,12 +407,10 @@ def test_sweep_diverging_point_becomes_failed_row(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
     assert (out / "point_000" / "e1_report.json").exists()
     assert not (out / "point_001").exists()
-    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = _rows(out)
     assert [row["passed"] for row in rows] == ["1", "0"]
     assert rows[0]["error"] == ""
-    assert "drift" in rows[1]["error"]
+    assert re.fullmatch(r".*drift.* at step \d+ \(t = \S+, particle \d+\)", rows[1]["error"])
 
 
 def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
@@ -438,11 +420,11 @@ def test_sweep_invalid_order_point_becomes_failed_row(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
-    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = _rows(out)
     assert [row["passed"] for row in rows] == ["0"]
-    assert "config key 'p_values'" in rows[0]["error"]
+    assert rows[0]["error"] == (
+        "config key 'p_values': expected one or more distinct orders p >= 1, got (0.5,)"
+    )
 
 
 def test_sweep_negative_seed_point_becomes_failed_row(tmp_path):
@@ -504,6 +486,63 @@ def test_sweep_tuple_axis_rows_match_header(tmp_path):
     assert [row[header.index("passed")] for row in rows] == ["1", "0"]
 
 
+def test_sweep_row_is_the_report_flattened(tmp_path):
+    # each check's observed value under its name, then the scalar data; a point
+    # that could not run keeps its message verbatim, commas and all
+    cfg = _write(
+        tmp_path / "sweep.json",
+        {
+            "experiment": "e5",
+            "n": 4,
+            "t_end": 0.2,
+            "n_samples": 5,
+            "axis": {"parameter": "dt", "values": [1e-3, 2e-3, 1e-300]},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
+    with open(out / "sweep_aggregate.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(set(header)) == len(header)
+    for idx, row in enumerate(rows[:2]):
+        cells = dict(zip(header, row))
+        report = json.loads((out / f"point_{idx:03d}" / "e5_report.json").read_text())
+        assert {c["name"]: float(cells[c["name"]]) for c in report["checks"]} == {
+            c["name"]: c["observed"] for c in report["checks"]
+        }
+        assert {k: float(cells[k]) for k in report["data"]} == report["data"]
+    assert dict(zip(header, rows[2]))["error"] == (
+        "t_end / dt must be below 2**63 steps, got t_end = 0.2 and dt = 1e-300"
+    )
+
+
+def test_e5_delta_at_gains_without_a_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # e5 runs uniform states there: two deltas used to make one run under two labels
+    def no_run(*args):
+        raise AssertionError("integrate called before the config was checked")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    base = {"experiment": "e5", "n": 6, "kappa1": -0.5, "t_end": 0.5, "n_samples": 10}
+    cfg = _write(tmp_path / "cfg.json", {**base, "delta": 0.1})
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: config key 'delta' is not read by e5 at gains that admit no cap" in err
+    assert not out.exists()
+    # in a sweep that point is a failed row, and a point at gains with a cap runs
+    sweep = _write(
+        tmp_path / "sweep.json",
+        {**base, "delta": 0.1, "axis": {"parameter": "kappa1", "values": [0.1, -0.5]}},
+    )
+    monkeypatch.undo()
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == EXIT_ASSERTION
+    rows = _rows(tmp_path / "s")
+    assert [row["error"] for row in rows] == [
+        "", "config key 'delta' is not read by e5 at gains that admit no cap"
+    ]
+    assert (tmp_path / "s" / "point_000" / "e5_report.json").exists()
+
+
 def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):
     cfg = _write(
         tmp_path / "sweep.json",
@@ -518,9 +557,7 @@ def test_sweep_fractional_integer_point_becomes_failed_row(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
     report = json.loads((out / "point_000" / "e7_report.json").read_text())
     assert report["config"]["n"] == 4
-    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = _rows(out)
     assert [row["passed"] for row in rows] == ["1", "0"]
     assert "expected an integer" in rows[1]["error"]
 
@@ -574,8 +611,9 @@ def test_sweep_out_of_range_step_count_becomes_failed_row(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_ASSERTION
     assert (out / "manifest.json").exists()
     assert not (out / "point_001").exists()
-    lines = (out / "sweep_aggregate.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    rows = _rows(out)
     assert [row["passed"] for row in rows] == ["1", "0"]
-    assert "t_end / dt must be below 2**63" in rows[1]["error"]
+    # the message keeps its comma: the writer quotes the cell
+    assert rows[1]["error"] == (
+        "t_end / dt must be below 2**63 steps, got t_end = 0.5 and dt = 1e-300"
+    )

@@ -26,6 +26,7 @@ from lohesphere.observables import (
     dj_dt_norm_bound_check,
     functional_F,
     functional_G,
+    j_vector,
     lp_distance,
     order_parameter,
 )
@@ -306,6 +307,13 @@ def test_every_accepted_key_is_read(experiment):
         assert changed != outcome, f"{experiment} ignores {key!r}"
 
 
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_data_repeats_no_check(experiment):
+    # a check's observed value lives in the check; a sweep row reads it there
+    report = run_experiment({"experiment": experiment, **TINY[experiment]})
+    assert set(report.data).isdisjoint(c.name for c in report.checks)
+
+
 def test_every_other_key_is_a_config_error():
     names = {f.name for f in fields(ExperimentConfig)} - {"experiment"}
     assert set(SECOND_VALUE) == names
@@ -378,14 +386,14 @@ def test_e2_runs_without_p2_among_its_orders():
 
 
 def test_e5_negative_kappa1_boundary():
-    # kappa0 + 2 kappa1 = 0: monotonicity must survive on the boundary
+    # kappa0 + 2 kappa1 = 0: monotonicity must survive on the boundary, where no
+    # cap exists and e5 reads no delta
     report = run_experiment(
         {
             "experiment": "e5",
             "n": 10,
             "kappa1": -0.5,
             "kappa0": 1.0,
-            "delta": 0.3,
             "t_end": 10.0,
             "n_samples": 50,
         }
@@ -408,7 +416,8 @@ def test_e5_negative_kappa1_boundary():
 )
 def test_e5_decays_the_defect_exactly_on_admissible_configs(kappa1, delta):
     # just inside and just outside |kappa1| < kappa0 / 2 and 0 < delta < 1 - 2 |kappa1| / kappa0:
-    # gains without a cap run uniform states, and a delta outside the cap's range is an error
+    # gains without a cap run uniform states, which read no delta, and a delta outside
+    # the cap's range is an error
     try:
         admissible_threshold(1.0, kappa1, delta)
         admissible = True
@@ -416,7 +425,12 @@ def test_e5_decays_the_defect_exactly_on_admissible_configs(kappa1, delta):
         admissible = False
     raw = {"experiment": "e5", "n": 6, "kappa1": kappa1, "delta": delta, "t_end": 0.5,
            "n_samples": 10}
-    if not admissible and abs(kappa1) < 0.5:
+    if abs(kappa1) >= 0.5:
+        message = "^config key 'delta' is not read by e5 at gains that admit no cap$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw)
+        del raw["delta"]
+    elif not admissible:
         with pytest.raises(ConfigError, match="delta must lie in"):
             run_experiment(raw)
         return
@@ -443,18 +457,27 @@ def test_e5_rejects_inadmissible_delta_before_running(monkeypatch):
     assert seen == []
 
 
-def test_e5_and_e6_observe_the_excess_over_zero():
+def test_e5_and_e6_observe_the_excess_over_zero(monkeypatch):
     # the lower bounds R^2 nondecreasing and min_j z_j . J/||J|| >= 1 - 1e-4 read as
     # the largest decrease of R^2 and the misalignment, each <= 0 + tolerance
     e5 = run_experiment({"experiment": "e5", **TINY["e5"]})
     r2 = e5.series["observables"].column("R2")
     check = next(c for c in e5.checks if c.name == "r_squared_nondecreasing")
     assert (check.observed, check.limit, check.tolerance) == (-np.min(np.diff(r2)), 0.0, 1e-10)
+    runs = []
+
+    def keep(*args, **kwargs):
+        traj, series = integrate(*args, **kwargs)
+        runs.append(traj)
+        return traj, series
+
+    monkeypatch.setattr(experiments, "integrate", keep)
     e6 = run_experiment({"experiment": "e6", **TINY["e6"]})
+    final = runs[0].snapshots[-1]   # scenario a's final state
+    j = j_vector(EmpiricalMeasure.uniform(final))
+    misalignment = 1.0 - np.min((np.conj(final) @ (j / np.linalg.norm(j))).real)
     check = next(c for c in e6.checks if c.name == "a_alignment")
-    assert (check.observed, check.limit, check.tolerance) == (
-        1.0 - e6.data["a_alignment"], 0.0, 1e-4
-    )
+    assert (check.observed, check.limit, check.tolerance) == (misalignment, 0.0, 1e-4)
 
 
 def test_e5_rejects_gains_outside_aligned_regime():
@@ -734,11 +757,11 @@ def test_batched_fd_r_squared_rate_is_each_snapshots_own(mode, b, n, d, kappa0, 
     states = np.stack([random_sphere_states(rng, n, d) for _ in range(b)])
     freqs = random_frequencies(rng, n, d, *mode)
     params = CouplingParams(kappa0, kappa1)
-    rates = experiments.fd_r_squared_rate(Ensemble(states, freqs, params), h=1e-3)
+    rates = experiments.fd_r_squared_rate(Ensemble(states, freqs, params))
     assert rates.shape == (b,)
     for k in range(b):
         member = Ensemble(states[k], freqs, params)
-        own = experiments.fd_r_squared_rate(member, h=1e-3)
+        own = experiments.fd_r_squared_rate(member)
         assert isinstance(own, float)
         assert np.float64(own).tobytes() == rates[k].tobytes()
         assert np.float64(own).tobytes() == np.float64(_fd_rate_reference(member, 1e-3)).tobytes()

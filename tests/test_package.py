@@ -1,7 +1,8 @@
 """Public surface: every module star-imports, every package export and every
 name a demo imports resolves, every demo runs, the CLI imports no
-private name of experiments, README's experiment keys are the table's, and
-scipy loads only with the first transport solve."""
+private name of experiments, README's experiment keys are the table's,
+scipy loads only with the first transport solve, and the benchmark's worker
+runs every workload on this tree."""
 
 import ast
 import importlib
@@ -168,3 +169,25 @@ def test_demo_runs(name):
     demo = next(demo for demo in DEMOS if demo.name == name)
     out = _run_fresh(demo.read_text(encoding="utf-8"))
     assert DEMO_LINES[name] in out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_worker_runs_every_workload(workload):
+    # the worker calls the library's API directly: a src change that breaks it
+    # fails here, before a benchmark run does
+    bench = ROOT / "perfbench"
+    before = sorted(bench.rglob("*"))
+    cmd = [sys.executable, str(bench / "worker.py"), "--workload", workload, "--seed", "3",
+           "--seconds", "0", "--mode", "run", "--size", "tiny"]
+    proc = subprocess.run(
+        cmd, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] >= 1 and result["failed"] == 0, result["failures"]
+    assert sorted(bench.rglob("*")) == before
