@@ -6,7 +6,8 @@ Usage:
     lohesphere experiment --experiment e1 --config cfg.json --out DIR [--seed S]
     lohesphere sweep     --config cfg.json --out DIR [--seed S]
 
-Configs are JSON key-value trees.  Exit codes: 0 on success (every check
+``simulate`` runs the experiment id ``simulate``, as ``--experiment simulate``
+does.  Configs are JSON key-value trees.  Exit codes: 0 on success (every check
 passes), 1 on assertion failure, 2 on usage/config errors (a
 ``t_end / dt`` of 2**63 steps or more, a negative seed and an integer outside
 int64 among them) and on a run that
@@ -31,15 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    SimulateConfig,
-    run_experiment,
-    run_simulate,
-    sweep_axis,
-)
+from .experiments import EXPERIMENTS, ConfigError, run_experiment, sweep_axis
 from .integrators import IntegrationError
 
 EXIT_PASS = 0
@@ -114,26 +107,17 @@ def _write_report(report, out_dir: Path) -> list[Path]:
     return artifacts
 
 
-def cmd_simulate(raw: dict, out_dir: Path, config_path: str) -> int:
-    """Integrate one configuration and write its observable series + manifest."""
-    series = run_simulate(SimulateConfig.from_dict(raw))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "simulate_observables.csv"
-    series.to_csv(csv_path)
-    _write_manifest(out_dir, "simulate", config_path, raw, [csv_path])
-    return EXIT_PASS
-
-
-def cmd_experiment(raw: dict, out_dir: Path, config_path: str, experiment: str | None) -> int:
-    """Run one named experiment; exit 0 iff every check passes."""
+def cmd_experiment(
+    raw: dict, out_dir: Path, config_path: str, command: str, experiment: str | None
+) -> int:
+    """Run one experiment id, ``simulate`` among them; exit 0 iff every check passes."""
     raw = dict(raw)
     if experiment is not None:
         raw["experiment"] = experiment
-    cfg = ExperimentConfig.from_dict(raw)
-    report = run_experiment(cfg)
+    report = run_experiment(raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = _write_report(report, out_dir)
-    _write_manifest(out_dir, "experiment", config_path, raw, artifacts)
+    _write_manifest(out_dir, command, config_path, raw, artifacts)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -167,7 +151,7 @@ def cmd_sweep(raw: dict, out_dir: Path, config_path: str) -> int:
         # crosses the admissibility boundary) or whose run diverges becomes a
         # failed row, not a crash
         try:
-            report = run_experiment(ExperimentConfig.from_dict(point))
+            report = run_experiment(point)
         except (ConfigError, IntegrationError) as exc:
             all_passed = False
             row["passed"] = 0
@@ -223,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"experiment id ({', '.join(sorted(EXPERIMENTS))})",
             )
+        if name == "simulate":
+            cmd.set_defaults(experiment="simulate")
     return parser
 
 
@@ -237,11 +223,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         out_dir = Path(args.out)
-        if args.command == "simulate":
-            return cmd_simulate(raw, out_dir, args.config)
-        if args.command == "experiment":
-            return cmd_experiment(raw, out_dir, args.config, args.experiment)
-        return cmd_sweep(raw, out_dir, args.config)
+        if args.command == "sweep":
+            return cmd_sweep(raw, out_dir, args.config)
+        return cmd_experiment(raw, out_dir, args.config, args.command, args.experiment)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

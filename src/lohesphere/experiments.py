@@ -12,9 +12,10 @@ pass/fail verdicts:
   e6  complete aggregation vs an exactly antipodal exceptional atom (bi-polar limit)
   e7  solution splitting: rotating frame reproduces the zero-frequency flow
 
-Every verdict cites the tolerance it used; each report serializes to JSON
-with its time series as separate CSVs.  All randomness flows from the
-config seed.
+``simulate``, one more entry of the same table, integrates one configuration
+and reports its observables with no checks.  Every verdict cites the
+tolerance it used; each report serializes to JSON with its time series as
+separate CSVs.  All randomness flows from the config seed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "CheckResult",
     "ExperimentReport",
     "EXPERIMENTS",
-    "SimulateConfig",
     "run_experiment",
     "run_simulate",
     "sweep_axis",
@@ -74,16 +74,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Keys of a run that draws one ensemble (flat key-value tree).
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """Declarative run configuration (flat key-value tree): the experiment id
+    and the keys of every entry of ``EXPERIMENTS``.
 
-    They cover the ensemble (n, d), gains (kappa0, kappa1, delta), stepping
-    (dt, t_end, n_samples), frequencies (omega_scale, heterogeneous) and the
-    seed.  ``from_dict`` merges a raw config over per-run defaults, rejects
-    unknown keys and coerces every value to its field's type.
+    ``from_dict`` merges a raw config over the entry's defaults, accepts
+    only the keys the entry's runner reads (``_keys_read``) and coerces
+    every value to its field's type.  Any other field keeps its default,
+    which that runner does not read.
     """
 
+    experiment: str
+    # the ensemble, gains, stepping, frequencies and seed of every run
     n: int = 64
     d: int = 4
     kappa0: float = 1.0
@@ -95,45 +98,8 @@ class RunConfig:
     n_samples: int = 200
     omega_scale: float = 0.0
     heterogeneous: bool = False
-
-    def __post_init__(self) -> None:
-        _check_rules(self, {
-            "n": (self.n >= 1, ">= 1"),
-            "d": (self.d >= 1, ">= 1"),
-            "n_samples": (self.n_samples >= 2, ">= 2"),
-            "omega_scale": (self.omega_scale >= 0, ">= 0"),
-            "seed": (self.seed >= 0, ">= 0"),
-        })
-        # spread 0 draws the zero matrix, whatever the flag says
-        if self.heterogeneous and not self.omega_scale > 0:
-            raise ConfigError("config key 'heterogeneous': true needs omega_scale > 0")
-
-    @classmethod
-    def from_dict(cls, raw: dict, defaults: dict | None = None):
-        known = {f.name: f for f in fields(cls)}
-        merged: dict = dict(defaults or {})
-        for key, value in raw.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-        coerced: dict = {}
-        for key, value in merged.items():
-            try:
-                coerced[key] = _coerce(known[key].type, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        return cls(**coerced)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig(RunConfig):
-    """Declarative experiment configuration: the experiment id and the keys
-    of all experiments.  ``from_dict`` accepts only the keys the experiment's
-    runner reads, which its ``EXPERIMENTS`` entry names; any other field is a
-    config error there, and keeps its default, which no runner reads.
-    """
-
-    experiment: str
+    # simulate: the initial data, an admissible cap draw or uniform states
+    init: str = "admissible"
     # e2 / e4: stability sweeps
     n_seeds: int = 20
     jitter: float = 1e-2
@@ -151,9 +117,14 @@ class ExperimentConfig(RunConfig):
             raise ConfigError(
                 f"unknown experiment id {self.experiment!r}; expected one of {sorted(EXPERIMENTS)}"
             )
-        super().__post_init__()
         grid = self.n_grid
         _check_rules(self, {
+            "n": (self.n >= 1, ">= 1"),
+            "d": (self.d >= 1, ">= 1"),
+            "n_samples": (self.n_samples >= 2, ">= 2"),
+            "omega_scale": (self.omega_scale >= 0, ">= 0"),
+            "seed": (self.seed >= 0, ">= 0"),
+            "init": (self.init in ("admissible", "uniform"), "'admissible' or 'uniform'"),
             "n_seeds": (self.n_seeds >= 1, ">= 1"),
             # distinct as the check names print them
             "horizons": (
@@ -176,46 +147,47 @@ class ExperimentConfig(RunConfig):
                 "two or more consecutive doublings, e.g. 16,32,64,128",
             ),
         })
+        # spread 0 draws the zero matrix, whatever the flag says
+        if self.heterogeneous and not self.omega_scale > 0:
+            raise ConfigError("config key 'heterogeneous': true needs omega_scale > 0")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if "experiment" not in raw:
             raise ConfigError("config is missing the 'experiment' key")
+        known = {f.name: f for f in fields(cls)}
+        unknown = [key for key in raw if key not in known]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         # an id with no entry reads every key here; __post_init__ rejects it, whatever its type
         _, defaults, keys = EXPERIMENTS.get(str(raw["experiment"]), (None, {}, raw))
-        ignored = {f.name for f in fields(cls)} - {"experiment", *keys}
-        unread = [key for key in raw if key in ignored]
-        if unread:
-            raise ConfigError(f"config key {unread[0]!r} is not read by {raw['experiment']}")
-        cfg = super().from_dict(raw, defaults)
-        # e5 runs uniform states at gains without a cap, and nothing reads the cap's margin
-        if cfg.experiment == "e5" and "delta" in raw and not _e5_admits_cap(cfg):
-            raise ConfigError("config key 'delta' is not read by e5 at gains that admit no cap")
+        _reject_unread(raw, keys)
+        coerced: dict = {}
+        for key, value in {**defaults, **raw}.items():
+            try:
+                coerced[key] = _coerce(known[key].type, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+        cfg = cls(**coerced)
+        # the keys a run reads can depend on its values: uniform draws read no delta
+        _reject_unread(raw, _keys_read(cfg))
         return cfg
 
 
-@dataclass(frozen=True)
-class SimulateConfig(RunConfig):
-    """Config of ``simulate``: the shared run keys with their own defaults,
-    plus the initial data, an admissible cap draw or uniform states."""
+def _reject_unread(raw: dict, keys) -> None:
+    unread = [key for key in raw if key not in keys and key != "experiment"]
+    if unread:
+        raise ConfigError(f"config key {unread[0]!r} is not read by {raw['experiment']}")
 
-    n: int = 32
-    delta: float = 0.1
-    t_end: float = 5.0
-    seed: int = 0
-    init: str = "admissible"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.init not in ("admissible", "uniform"):
-            raise ConfigError("config key 'init' must be 'admissible' or 'uniform'")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SimulateConfig":
-        # uniform states have no cap, so nothing reads the admissibility margin
-        if "delta" in raw and raw.get("init") == "uniform":
-            raise ConfigError("config key 'delta' is not read by simulate with init 'uniform'")
-        return super().from_dict(raw)
+def _keys_read(cfg: ExperimentConfig) -> frozenset:
+    """The config keys ``cfg``'s run reads: its ``EXPERIMENTS`` entry's keys,
+    less the cap's margin ``delta`` where the run draws uniform states
+    (``simulate`` at ``init`` "uniform", e5 at gains that admit no cap)."""
+    keys = EXPERIMENTS[cfg.experiment][2]
+    if cfg.init == "uniform" or (cfg.experiment == "e5" and not _e5_admits_cap(cfg)):
+        return keys - {"delta"}
+    return keys
 
 
 def _check_rules(cfg, rules: dict[str, tuple[bool, str]]) -> None:
@@ -227,7 +199,7 @@ def _check_rules(cfg, rules: dict[str, tuple[bool, str]]) -> None:
 
 def _coerce(type_name: str, value):
     if type_name == "int":
-        # int() of an infinity raises OverflowError, which callers do not catch
+        # int() of an infinity raises OverflowError, whose message names no value
         if isinstance(value, bool) or value in (math.inf, -math.inf) or int(value) != value:
             raise ValueError(f"expected an integer, got {value!r}")
         # an int64, like the step count t_end / dt
@@ -235,7 +207,8 @@ def _coerce(type_name: str, value):
             raise ValueError(f"expected an integer in [-2**63, 2**63), got {value!r}")
         return int(value)
     if type_name == "float":
-        if isinstance(value, bool):
+        # a JSON number: float("1.5") and float(True) would pass
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
         value = float(value)
         if not math.isfinite(value):
@@ -248,6 +221,9 @@ def _coerce(type_name: str, value):
     if type_name == "str":
         return str(value)
     if type_name.startswith("tuple"):
+        # a JSON list: a string or an object would iterate
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"expected a list, got {value!r}")
         item = "int" if "int" in type_name else "float"
         return tuple(_coerce(item, v) for v in value)
     return value
@@ -350,7 +326,7 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def _integrator_config(cfg: RunConfig, t_end: float | None = None) -> IntegratorConfig:
+def _integrator_config(cfg: ExperimentConfig, t_end: float | None = None) -> IntegratorConfig:
     """Stepping up to t_end (default ``cfg.t_end``) in about ``cfg.n_samples`` records;
     an invalid dt or t_end, or a step count ``t_end / dt`` out of range, is a config error."""
     try:
@@ -449,7 +425,7 @@ def _saturation_check(
     return CheckResult(name, np.max(ratio), 1.05 * sup_mid, 0.0, detail=detail)
 
 
-def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
+def _admissible_ensemble(cfg: ExperimentConfig) -> Ensemble:
     try:
         return sample_admissible(
             cfg.n,
@@ -465,7 +441,7 @@ def _admissible_ensemble(cfg: RunConfig) -> Ensemble:
         raise ConfigError(str(exc)) from exc
 
 
-def _uniform_ensemble(cfg: RunConfig) -> Ensemble:
+def _uniform_ensemble(cfg: ExperimentConfig) -> Ensemble:
     """Uniform states on the sphere, then the config's frequencies, both
     drawn from ``default_rng(cfg.seed)``."""
     rng = np.random.default_rng(cfg.seed)
@@ -482,16 +458,17 @@ def _perturbed_pair(cfg: ExperimentConfig, seed: np.random.SeedSequence) -> Ense
     return Ensemble(np.stack([ens.states, other]), ens.common_frequency, ens.params)
 
 
-def run_simulate(cfg: SimulateConfig) -> ObservableSeries:
-    """Integrate one configuration: the standard observers without dJ/dt,
-    then the centroid J of every record as columns j_re_k and j_im_k."""
+def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
+    """Integrate one configuration, with no checks: the standard observers
+    without dJ/dt, then the centroid J of every record as columns j_re_k and
+    j_im_k."""
     ens = _admissible_ensemble(cfg) if cfg.init == "admissible" else _uniform_ensemble(cfg)
     traj, series = integrate(ens, _integrator_config(cfg), standard_observers(ens.params, False))
     centroids = traj.snapshots.mean(axis=1)
     for k in range(cfg.d):
         series.series[f"j_re_{k}"] = centroids[:, k].real
         series.series[f"j_im_{k}"] = centroids[:, k].imag
-    return series
+    return ExperimentReport(series={"observables": series})
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +807,7 @@ def run_e4(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _e5_admits_cap(cfg: RunConfig) -> bool:
+def _e5_admits_cap(cfg: ExperimentConfig) -> bool:
     """Whether e5's gains admit an admissible cap, |kappa1| < kappa0 / 2.
     Gains outside the aligned regime, kappa0 > 0 and kappa0 + 2 kappa1 >= 0,
     are a config error."""
@@ -1132,8 +1109,8 @@ def run_e7(cfg: ExperimentConfig) -> ExperimentReport:
 _RUN = frozenset("n d kappa0 kappa1 delta dt t_end seed n_samples omega_scale".split())
 _PAIR = _RUN - {"t_end"} | {"jitter", "horizons", "p_values", "t_mid", "t_long"}
 _NESTED = _RUN - {"n", "omega_scale"} | {"n_grid"}
-#: experiment id -> its runner, the values that differ from the RunConfig /
-#: ExperimentConfig defaults, and the config keys the runner reads
+#: experiment id -> its runner, the values that differ from the ExperimentConfig
+#: defaults, and the config keys the runner reads (see ``_keys_read``)
 EXPERIMENTS: dict[str, tuple] = {
     "e1": (run_e1, {"kappa1": -0.2}, _RUN),
     "e2": (
@@ -1156,6 +1133,11 @@ EXPERIMENTS: dict[str, tuple] = {
         _RUN | {"cluster_spread"},
     ),
     "e7": (run_e7, {"n": 32, "kappa1": 0.2, "t_end": 10.0, "omega_scale": 1.0}, _RUN - {"delta"}),
+    "simulate": (
+        run_simulate,
+        {"n": 32, "delta": 0.1, "t_end": 5.0, "seed": 0},
+        _RUN | {"heterogeneous", "init"},
+    ),
 }
 
 
@@ -1163,10 +1145,10 @@ def run_experiment(cfg: ExperimentConfig | dict) -> ExperimentReport:
     """Dispatch an experiment by id, timing the run."""
     if isinstance(cfg, dict):
         cfg = ExperimentConfig.from_dict(cfg)
-    runner, _, keys = EXPERIMENTS[cfg.experiment]
     start = time.perf_counter()
-    report = runner(cfg)
+    report = EXPERIMENTS[cfg.experiment][0](cfg)
     report.wall_clock = time.perf_counter() - start
     report.experiment, report.seed = cfg.experiment, cfg.seed
-    report.config = {k: v for k, v in asdict(cfg).items() if k in keys or k == "experiment"}
+    keys = _keys_read(cfg) | {"experiment"}
+    report.config = {k: v for k, v in asdict(cfg).items() if k in keys}
     return report

@@ -39,7 +39,8 @@ def test_simulate_writes_csv_and_manifest(tmp_path, sim_config):
     manifest_path = out / "manifest.json"
     assert csv_path.exists() and manifest_path.exists()
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["artifacts"] == ["simulate_observables.csv"]
+    assert manifest["command"] == "simulate"
+    assert manifest["artifacts"] == ["simulate_observables.csv", "simulate_report.json"]
     assert len(manifest["config_sha256"]) == 64
     env = manifest["environment"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "num_threads_env", "cpu_count"}
@@ -57,6 +58,25 @@ def test_simulate_is_byte_reproducible(tmp_path, sim_config):
     bytes_a = (out_a / "simulate_observables.csv").read_bytes()
     bytes_b = (out_b / "simulate_observables.csv").read_bytes()
     assert bytes_a == bytes_b
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{}, {"n": 12, "init": "uniform", "omega_scale": 0.5, "heterogeneous": True}],
+    ids=["defaults", "uniform"],
+)
+def test_simulate_is_the_experiment_simulate(tmp_path, payload):
+    # one run path: the command and the experiment id write the same series
+    cfg = _write(tmp_path / "cfg.json", {**payload, "t_end": 0.5, "n_samples": 20})
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == EXIT_PASS
+    argv = ["experiment", "--experiment", "simulate", "--config", cfg, "--out", str(out_b)]
+    assert main(argv) == EXIT_PASS
+    csv_a, csv_b = (out / "simulate_observables.csv" for out in (out_a, out_b))
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in (out_a, out_b)]
+    assert [m["command"] for m in manifests] == ["simulate", "experiment"]
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
 
 
 def test_malformed_config_exits_2_without_partial_files(tmp_path):
@@ -119,7 +139,7 @@ def test_simulate_delta_under_uniform_init_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "config error: config key 'delta' is not read by simulate with init 'uniform'" in err
+    assert "config error: config key 'delta' is not read by simulate\n" in err
     assert not out.exists()
 
 
@@ -215,20 +235,16 @@ def test_e6_on_c1_exits_2_before_any_run(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63], ids=["negative", "past_int64"])
-@pytest.mark.parametrize("command", ["simulate", *sorted(experiments.EXPERIMENTS)])
+@pytest.mark.parametrize("command", sorted(experiments.EXPERIMENTS))
 def test_bad_seed_exits_2_before_any_run(tmp_path, capsys, monkeypatch, command, seed):
     # a negative seed used to crash e2, e4, e5, e6 and e7 with exit 1
     def no_run(*args):
         raise AssertionError("integrate called before the config was checked")
 
     monkeypatch.setattr(experiments, "integrate", no_run)
-    if command == "simulate":
-        argv, raw = ["simulate"], {"seed": seed}
-    else:
-        argv, raw = ["experiment"], {"experiment": command, "seed": seed}
+    cfg = _write(tmp_path / "cfg.json", {"experiment": command, "seed": seed})
     out = tmp_path / "o"
-    argv += ["--config", _write(tmp_path / "cfg.json", raw), "--out", str(out)]
-    assert main(argv) == EXIT_USAGE
+    assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     assert "config error: config key 'seed'" in capsys.readouterr().err
     assert not out.exists()
 
@@ -527,7 +543,7 @@ def test_e5_delta_at_gains_without_a_cap_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o"
     assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "config error: config key 'delta' is not read by e5 at gains that admit no cap" in err
+    assert "config error: config key 'delta' is not read by e5\n" in err
     assert not out.exists()
     # in a sweep that point is a failed row, and a point at gains with a cap runs
     sweep = _write(
@@ -538,7 +554,7 @@ def test_e5_delta_at_gains_without_a_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == EXIT_ASSERTION
     rows = _rows(tmp_path / "s")
     assert [row["error"] for row in rows] == [
-        "", "config key 'delta' is not read by e5 at gains that admit no cap"
+        "", "config key 'delta' is not read by e5"
     ]
     assert (tmp_path / "s" / "point_000" / "e5_report.json").exists()
 

@@ -230,6 +230,10 @@ def test_unknown_key_rejected():
         ("n", 0),            # these three used to print no key
         ("d", 0),
         ("n_samples", 1),
+        ("p_values", "124"),  # used to run p = 1, 2 and 4
+        ("kappa0", "1.5"),    # used to pass while "n": "8" did not
+        ("horizons", {"0.5": 1}),  # used to give (0.5,)
+        ("kappa0", 10**400),  # float() of it raises OverflowError
     ],
 )
 def test_mistyped_value_rejected(key, value):
@@ -248,11 +252,16 @@ def test_heterogeneous_needs_a_spread():
 
 
 def test_heterogeneous_frequencies_are_rejected_when_the_config_is_parsed():
-    # only e2's claims cover per-particle frequencies; no other experiment reads the key
+    # only e2's claims cover per-particle frequencies; no other experiment reads the key,
+    # and simulate integrates whatever it is given
+    readers = {e for e, (_, _, keys) in EXPERIMENTS.items() if "heterogeneous" in keys}
+    assert readers == {"e2", "simulate"}
     for experiment in sorted(EXPERIMENTS):
         for flag in (False, True):
             raw = {"experiment": experiment, "heterogeneous": flag}
-            if experiment == "e2":
+            if experiment in readers:
+                # simulate's default spread 0 draws the zero matrix, whatever the flag says
+                raw["omega_scale"] = 0.5
                 assert ExperimentConfig.from_dict(raw).heterogeneous is flag
             else:
                 with pytest.raises(
@@ -275,12 +284,13 @@ TINY = {
     "e5": {"n": 4, "t_end": 0.2, "n_samples": 5},
     "e6": {"n": 4, "t_end": 0.2, "n_samples": 5},
     "e7": {"n": 4, "t_end": 0.2, "n_samples": 5},
+    "simulate": {"n": 4, "t_end": 0.2, "n_samples": 5, "omega_scale": 0.5, "heterogeneous": True},
 }
 SECOND_VALUE = {
     "n": 5, "d": 3, "kappa0": 1.5, "kappa1": 0.05, "delta": 0.2, "dt": 2e-3, "t_end": 0.3,
     "seed": 8, "n_samples": 7, "omega_scale": 0.3, "heterogeneous": False, "n_seeds": 3,
     "jitter": 2e-3, "horizons": [0.15], "p_values": [3.0], "t_mid": 0.05, "t_long": 0.6,
-    "n_grid": [2, 4, 8], "cluster_spread": 0.3,
+    "n_grid": [2, 4, 8], "cluster_spread": 0.3, "init": "uniform",
 }
 
 
@@ -312,6 +322,23 @@ def test_data_repeats_no_check(experiment):
     # a check's observed value lives in the check; a sweep row reads it there
     report = run_experiment({"experiment": experiment, **TINY[experiment]})
     assert set(report.data).isdisjoint(c.name for c in report.checks)
+
+
+@pytest.mark.parametrize(
+    "raw, reads_delta",
+    [
+        ({"experiment": "e5", **TINY["e5"]}, True),
+        ({"experiment": "e5", "n": 4, "kappa1": -0.5, "t_end": 0.2, "n_samples": 5}, False),
+        ({"experiment": "simulate", **TINY["simulate"], "init": "uniform"}, False),
+    ],
+    ids=["e5_cap", "e5_no_cap", "simulate_uniform"],
+)
+def test_report_config_is_the_keys_the_run_read(raw, reads_delta):
+    # e5 without a cap used to report its default delta, a key the run never read
+    cfg = ExperimentConfig.from_dict(raw)
+    report = run_experiment(cfg)
+    assert set(report.config) == experiments._keys_read(cfg) | {"experiment"}
+    assert ("delta" in report.config) is reads_delta
 
 
 def test_every_other_key_is_a_config_error():
@@ -426,7 +453,7 @@ def test_e5_decays_the_defect_exactly_on_admissible_configs(kappa1, delta):
     raw = {"experiment": "e5", "n": 6, "kappa1": kappa1, "delta": delta, "t_end": 0.5,
            "n_samples": 10}
     if abs(kappa1) >= 0.5:
-        message = "^config key 'delta' is not read by e5 at gains that admit no cap$"
+        message = "^config key 'delta' is not read by e5$"
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(raw)
         del raw["delta"]

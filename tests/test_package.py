@@ -1,8 +1,8 @@
 """Public surface: every module star-imports, every package export and every
 name a demo imports resolves, every demo runs, the CLI imports no
-private name of experiments, README's experiment keys are the table's,
-scipy loads only with the first transport solve, and the benchmark's worker
-runs every workload on this tree."""
+private name of experiments, README's experiment keys are the table's, no
+source line is wider than 100 columns, scipy loads only with the first
+transport solve, and the benchmark's worker runs every workload on this tree."""
 
 import ast
 import importlib
@@ -45,7 +45,8 @@ def test_cli_imports_no_private_name_of_experiments():
         and (node.level, node.module) in ((1, "experiments"), (0, "lohesphere.experiments"))
         for alias in node.names
     }
-    assert "run_simulate" in imported
+    # one run entry: simulate is an experiment id like e1
+    assert {name for name in imported if name.startswith("run_")} == {"run_experiment"}
     assert [name for name in imported if name.startswith("_")] == []
 
 
@@ -54,9 +55,22 @@ def test_readme_lists_each_experiments_config_keys():
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Experiments", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| e")]
+    table = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")]
+    header, rows = table[0], table[2:]
+    assert [cell.strip() for cell in header] == ["id", "claim under test", "config keys"]
     listed = {cells[0].strip(): set(cells[-1].strip().strip("`").split()) for cells in rows}
     assert listed == {experiment: set(keys) for experiment, (_, _, keys) in EXPERIMENTS.items()}
+
+
+def test_source_lines_fit_100_columns():
+    package = Path(lohesphere.__file__).parent
+    wide = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert wide == []
 
 
 def test_package_exports_resolve():
